@@ -6,16 +6,24 @@ slot, estimated — as in the paper — as the average count over the same slot
 of the training weekdays ("the average number of events at the same period
 of all workdays in last one month", §V-B).
 
+The estimate is one Spark aggregation per grid size over all slots
+(:func:`alpha_counts`), densified on the driver by :func:`alpha_by_hgrid` —
+the same two steps as ``demand_counts`` / ``demand_tensor``. Every consumer
+(the Algorithm-3 evaluator, the error curves, N-selection) takes one row
+``[slot]`` of that table.
+
 ``D_alpha(N) = sum_ij |alpha_ij - mean(alpha)|`` (Eq. 2) measures how
 uneven the spatial distribution is; Theorem III.1 shows it saturates once
 HGrids are internally uniform, which is how a suitable N is selected.
 """
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame, SparkSession
+import numpy as np
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.grids import GridSpec, hgrid_lattice, with_grid_ids
+from repro.core.grids import GridSpec, grid_spec, mgrid_of_hgrid, with_grid_ids
+from repro.synth_data import SLOTS_PER_DAY
 
 
 def weekday_days(days: range | list[int]) -> list[int]:
@@ -23,41 +31,39 @@ def weekday_days(days: range | list[int]) -> list[int]:
     return [d for d in days if d % 7 < 5]
 
 
-def alpha_by_hgrid(
-    spark: SparkSession,
-    events: DataFrame,
-    spec: GridSpec,
-    *,
-    slot: int,
-    train_days: list[int],
-) -> DataFrame:
-    """Per-HGrid alpha for one slot: ``(mgrid, hgrid, alpha)``.
-
-    Every HGrid of the lattice appears exactly once (missing = alpha 0);
-    alpha = total events over ``train_days`` at ``slot`` divided by the
-    number of training days (days with zero events count in the mean).
-    """
+def alpha_counts(events: DataFrame, spec: GridSpec, *, train_days: list[int]) -> DataFrame:
+    """Event counts per (slot, hgrid) summed over ``train_days`` — the
+    alpha-estimating aggregation (zero cells omitted)."""
     if not train_days:
         raise ValueError("train_days must be non-empty")
-    counts = (
-        with_grid_ids(events, spec)
-        .where((F.col("slot") == slot) & F.col("day").isin([int(d) for d in train_days]))
-        .groupBy("hgrid")
-        .agg((F.count(F.lit(1)) / F.lit(float(len(train_days)))).alias("alpha"))
-    )
     return (
-        hgrid_lattice(spark, spec)
-        .join(counts, "hgrid", "left")
-        .select("mgrid", "hgrid", F.coalesce("alpha", F.lit(0.0)).alias("alpha"))
+        with_grid_ids(events, spec)
+        .where(F.col("day").isin([int(d) for d in train_days]))
+        .groupBy("slot", "hgrid")
+        .agg(F.count(F.lit(1)).alias("cnt"))
     )
 
 
-def d_alpha(alpha_df: DataFrame) -> float:
+def alpha_by_hgrid(
+    events: DataFrame, spec: GridSpec, *, train_days: list[int], slots: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ``(slots, fine_side^2)`` alphas and the HGrid -> MGrid map.
+
+    alpha = total events over ``train_days`` at the slot divided by the
+    number of training days (days with zero events count in the mean);
+    HGrids that never saw an event have alpha 0.
+    """
+    pdf = alpha_counts(events, spec, train_days=train_days).toPandas()
+    alphas = np.zeros((slots, spec.fine_side**2))
+    alphas[pdf["slot"].to_numpy(int), pdf["hgrid"].to_numpy(int)] = (
+        pdf["cnt"].to_numpy(float) / len(train_days)
+    )
+    return alphas, mgrid_of_hgrid(spec)
+
+
+def d_alpha(alphas: np.ndarray) -> float:
     """``D_alpha(N) = sum_ij |alpha_ij - alpha_bar|`` (Eq. 2) over the lattice."""
-    mean = alpha_df.agg(F.avg("alpha")).first()[0]
-    return float(
-        alpha_df.agg(F.sum(F.abs(F.col("alpha") - F.lit(float(mean))))).first()[0]
-    )
+    return float(np.abs(alphas - alphas.mean()).sum())
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,6 @@ class NSelection:
 
 
 def select_N(
-    spark: SparkSession,
     events: DataFrame,
     cfg,
     *,
@@ -88,14 +93,13 @@ def select_N(
     next doubling grows D_alpha by less than ``rel_tol`` relatively — the
     "turning point" of Fig. 14. Falls back to the largest candidate.
     """
-    from repro.core.grids import grid_spec
-
     cands = sorted(candidates)
     d_values = [
         d_alpha(
             alpha_by_hgrid(
-                spark, events, grid_spec(cfg, s, s), slot=slot, train_days=train_days
-            )
+                events, grid_spec(cfg, s, s), train_days=train_days,
+                slots=SLOTS_PER_DAY,
+            )[0][slot]
         )
         for s in cands
     ]

@@ -15,9 +15,9 @@ alpha_ig``), the error of uniform spreading is
   using the incremental e1'/e2' updates of Eq. 17-19;
 * :func:`expression_error_fast` — a vectorised, log-space-stable,
   windowed kernel (same math as Algorithm 2, safe for large beta);
-* :func:`expression_error_by_mgrid` — the Spark driver: one
-  ``applyInPandas`` task per MGrid over the ``(mgrid, hgrid, alpha)``
-  frame produced by :mod:`repro.core.alpha`.
+* :func:`total_expression_error_local` — the production driver: the fast
+  kernel over every MGrid of one slot's alpha row, run on the Spark driver
+  after the single alpha aggregation of :mod:`repro.core.alpha`.
 
 Sign convention: the paper's indicator uses I(0) = +1 (Eq. 18 includes the
 boundary term in the doubled sum); the Delta = 0 terms cancel between e1
@@ -30,9 +30,6 @@ at 0, which the direct-sum and Monte-Carlo tests confirm.
 import math
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 #: width of the Poisson window, in standard deviations, kept by the fast
 #: kernel. 14 sigma bounds the discarded tail mass below ~1e-40.
@@ -123,12 +120,13 @@ def expression_error_alg2(alpha: float, beta: float, m: int, K: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# fast vectorised kernel (used by the Spark pipeline)
+# fast vectorised kernel and its driver (the production path)
 # ---------------------------------------------------------------------------
 
 def _log_pois_window(lam: float, k_max: int) -> tuple[int, np.ndarray]:
-    """(lo, pmf[lo..hi]) — Poisson(lam) pmf on a +-_WINDOW_SIGMA*sqrt window,
-    computed in log space so it is stable for arbitrarily large lam."""
+    """(lo, pmf[lo..hi]) — Poisson(lam) pmf on a +-_WINDOW_SIGMA*sqrt window
+    clipped to [0, k_max], computed in log space so it is stable for
+    arbitrarily large lam. Empty when the whole window lies beyond k_max."""
     if lam <= 0.0:
         return 0, np.ones(1)
     half = _WINDOW_SIGMA * math.sqrt(lam) + 10.0
@@ -148,32 +146,55 @@ def _auto_K(alpha: float) -> int:
     return int(alpha + _WINDOW_SIGMA * math.sqrt(alpha)) + 12
 
 
+def _checked(alphas, K: int | None) -> np.ndarray:
+    """``alphas`` as float64, rejecting input outside the kernel's domain."""
+    alphas = np.asarray(alphas, dtype=np.float64)
+    if np.isnan(alphas).any():
+        raise ValueError("alphas contain NaN")
+    if np.isinf(alphas).any():
+        raise ValueError("alphas contain an infinite value")
+    if (alphas < 0).any():
+        raise ValueError("alphas contain a negative value (Poisson means are >= 0)")
+    if K is not None and K < 0:
+        raise ValueError(f"K must be >= 0, got {K}")
+    return alphas
+
+
 def expression_error_fast(
     alphas: np.ndarray, m: int, K: int | None = None
 ) -> np.ndarray:
     """Vectorised E_e for every HGrid of one MGrid.
 
-    ``alphas`` holds the m per-HGrid means (zeros included). For HGrid j,
+    ``alphas`` holds the m per-HGrid means (zeros included; NaN, infinite
+    or negative values raise ``ValueError``). For HGrid j,
     beta_j = sum(alphas) - alphas[j]. Equal alphas share one evaluation.
+
     ``K = None`` picks the per-HGrid auto-K (Theorem III.2 guarantees
     convergence in K; auto-K covers the Poisson mass, so the truncation
-    error is negligible).
+    error is negligible). An explicit ``K >= 0`` truncates exactly as Eq. 7
+    does — k_h <= K and k_m <= (m-1)K — so the result is
+    :func:`expression_error_direct` at that K; a Poisson window lying
+    wholly beyond its truncation contributes 0.
     """
-    alphas = np.asarray(alphas, dtype=np.float64)
+    alphas = _checked(alphas, K)
     if alphas.ndim != 1:
         raise ValueError("alphas must be 1-D (the m HGrids of one MGrid)")
     if m != alphas.size:
         raise ValueError(f"m={m} but got {alphas.size} alphas")
+    return _fast_mgrid(alphas, K)
+
+
+def _fast_mgrid(alphas: np.ndarray, K: int | None) -> np.ndarray:
+    """:func:`expression_error_fast` on already-checked alphas, m = size."""
+    m = alphas.size
     if m == 1:
         return np.zeros(1)
     total = float(alphas.sum())
-    out = np.empty(m)
     uniq, inv = np.unique(alphas, return_inverse=True)
     uniq_ee = np.array(
         [_fast_one(float(a), total - float(a), m, K) for a in uniq]
     )
-    out[:] = uniq_ee[inv]
-    return out
+    return uniq_ee[inv]
 
 
 def _fast_one(alpha: float, beta: float, m: int, K: int | None) -> float:
@@ -184,8 +205,10 @@ def _fast_one(alpha: float, beta: float, m: int, K: int | None) -> float:
         k_cap = K
     k_top = (m - 1) * k_cap
     lo_a, pmf_a = _log_pois_window(alpha, k_cap)
-    kh = np.arange(lo_a, lo_a + pmf_a.size, dtype=np.float64)
     lo_b, pmf_b = _log_pois_window(beta, k_top)
+    if pmf_a.size == 0 or pmf_b.size == 0:
+        return 0.0  # every kept term lies in a discarded tail
+    kh = np.arange(lo_a, lo_a + pmf_a.size, dtype=np.float64)
     cdf_b = np.cumsum(pmf_b)
     mean_b = np.cumsum(np.arange(lo_b, lo_b + pmf_b.size) * pmf_b)
     w_total, d_total = cdf_b[-1], mean_b[-1]
@@ -206,53 +229,25 @@ def _fast_one(alpha: float, beta: float, m: int, K: int | None) -> float:
     return ((m - 1) * e1 - e2) / m
 
 
-# ---------------------------------------------------------------------------
-# Spark driver
-# ---------------------------------------------------------------------------
-
-def expression_error_by_mgrid(
-    alpha_df: DataFrame, m: int, K: int | None = None
-) -> DataFrame:
-    """Per-MGrid summed expression error: ``(mgrid, expr_error)``.
-
-    One ``applyInPandas`` task per MGrid group runs the vectorised kernel
-    over that MGrid's m alphas — the distribution axis of the paper's "4
-    hours for all HGrids" computation.
-    """
-
-    def _kernel(pdf: pd.DataFrame) -> pd.DataFrame:
-        ee = expression_error_fast(pdf["alpha"].to_numpy(), len(pdf), K)
-        return pd.DataFrame(
-            {"mgrid": [int(pdf["mgrid"].iloc[0])], "expr_error": [float(ee.sum())]}
-        )
-
-    return alpha_df.groupBy("mgrid").applyInPandas(
-        _kernel, schema="mgrid long, expr_error double"
-    )
-
-
-def total_expression_error(alpha_df: DataFrame, m: int, K: int | None = None) -> float:
-    """sum_ij E_e(i,j) over all HGrids (the quantity Algorithm 3 adds up)."""
-    row = expression_error_by_mgrid(alpha_df, m, K).agg(
-        F.sum("expr_error").alias("s")
-    ).first()
-    return float(row["s"])
-
-
 def total_expression_error_local(
     alphas: np.ndarray, mgrid_of_cell: np.ndarray, m: int, K: int | None = None
 ) -> float:
-    """Driver-side twin of :func:`total_expression_error` over pre-aggregated
-    alphas (one value per HGrid, with its MGrid id). Used by the search
-    evaluator, which amortises a single Spark aggregation across all 48
-    slots of a grid size and then runs the O(mK) kernel per MGrid locally —
-    the per-MGrid kernel costs ~0.1 ms, far below a Spark job round trip.
-    Tests pin this against the applyInPandas path."""
+    """sum_ij E_e(i,j) over all HGrids of one slot (the quantity
+    Algorithm 3 adds up).
+
+    ``alphas`` holds one value per HGrid and ``mgrid_of_cell`` its MGrid
+    id, in any order; every MGrid must have its m HGrids. The O(mK) kernel
+    runs once per MGrid on the driver — ~0.1 ms each, far below a Spark
+    job round trip — over one row of :func:`repro.core.alpha.alpha_by_hgrid`.
+    """
+    alphas = _checked(alphas, K)
     order = np.argsort(mgrid_of_cell, kind="stable")
     sorted_mg = mgrid_of_cell[order]
     sorted_a = alphas[order]
     bounds = np.flatnonzero(np.diff(sorted_mg)) + 1
+    if (np.diff(bounds, prepend=0, append=sorted_a.size) != m).any():
+        raise ValueError(f"every MGrid must have m={m} HGrids")
     total = 0.0
     for group in np.split(sorted_a, bounds):
-        total += float(expression_error_fast(group, group.size, K).sum())
+        total += float(_fast_mgrid(group, K).sum())
     return total

@@ -15,6 +15,7 @@ as a narrow projection — no UDFs, no shuffles.
 from dataclasses import dataclass
 from math import ceil
 
+import numpy as np
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
@@ -96,21 +97,11 @@ def with_grid_ids(events: DataFrame, spec: GridSpec, x: str = "x", y: str = "y")
     )
 
 
-def hgrid_lattice(spark, spec: GridSpec) -> DataFrame:
-    """All ``fine_side^2`` HGrid ids with their MGrid — including cells that
-    never saw an event (their alpha is 0, and zero-alpha HGrids still carry
-    expression error, so aggregations must not drop them)."""
-    return (
-        spark.range(spec.fine_side**2)
-        .withColumnRenamed("id", "hgrid")
-        .withColumn("fx", (F.col("hgrid") % spec.fine_side).cast("int"))
-        .withColumn("fy", (F.col("hgrid") / spec.fine_side).cast("int"))
-        .withColumn(
-            "mgrid",
-            (
-                (F.col("fy") / spec.m_side).cast("int") * spec.n_side
-                + (F.col("fx") / spec.m_side).cast("int")
-            ).cast("long"),
-        )
-        .drop("fx", "fy")
-    )
+def mgrid_of_hgrid(spec: GridSpec) -> np.ndarray:
+    """MGrid id of every HGrid ``0..fine_side^2 - 1`` — the numpy twin of the
+    ``mgrid`` column of :func:`with_grid_ids`, covering cells that never saw
+    an event (zero-alpha HGrids still carry expression error)."""
+    h = np.arange(spec.fine_side**2)
+    return (h // spec.fine_side // spec.m_side) * spec.n_side + (
+        h % spec.fine_side
+    ) // spec.m_side

@@ -46,7 +46,6 @@ def measured_expression_error(
     spark: SparkSession,
     events: DataFrame,
     spec: GridSpec,
-    alpha_mgrid: np.ndarray,
     *,
     slot: int,
     eval_days: list[int],

@@ -4,24 +4,23 @@
 + total expression error (Algorithm 2 over every HGrid). The evaluator
 below backs the §IV search algorithms. Per candidate n it issues two Spark
 aggregations — the (day, slot, mgrid) demand tensor and the
-(slot, hgrid) alpha table — and caches both (pure data prep, amortised
-over the slots the search probes at that n). Per (n, slot) call it trains
-the model fresh and runs the O(mK) Algorithm-2 kernel locally, matching
+(slot, hgrid) alpha table of :func:`repro.core.alpha.alpha_by_hgrid` —
+and caches both (pure data prep, amortised over the slots the search
+probes at that n). Per (n, slot) call it trains the model fresh and runs
+the O(mK) Algorithm-2 kernel locally over that slot's alpha row, matching
 the paper's cost anatomy where "the time cost of training the model is
-considerable when calculating e(sqrt(n))". The fully-distributed
-``applyInPandas`` expression-error path lives in
-:func:`repro.core.expression_error.expression_error_by_mgrid` and is used
-by the error-curve harness; tests pin the two paths against each other.
+considerable when calculating e(sqrt(n))". The error-curve harness uses
+the same aggregation and kernel.
 """
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
+from repro.core.alpha import alpha_by_hgrid
 from repro.core.expression_error import total_expression_error_local
-from repro.core.grids import GridSpec, grid_spec, with_grid_ids
+from repro.core.grids import GridSpec, grid_spec
 from repro.core.model_error import demand_tensor, total_model_error
 from repro.synth_data import CityConfig
 
@@ -81,23 +80,10 @@ class UpperBoundEvaluator:
         from ONE Spark aggregation per grid size (amortised over all the
         slots the search will probe at this n)."""
         if n_side not in self._alpha_cache:
-            spec = self.spec(n_side)
-            pdf = (
-                with_grid_ids(self.events, spec)
-                .where(F.col("day").isin([int(d) for d in self.train_days]))
-                .groupBy("slot", "hgrid")
-                .agg(F.count(F.lit(1)).alias("cnt"))
-                .toPandas()
+            self._alpha_cache[n_side] = alpha_by_hgrid(
+                self.events, self.spec(n_side),
+                train_days=self.train_days, slots=self.slots,
             )
-            dense = np.zeros((self.slots, spec.fine_side**2))
-            dense[pdf["slot"].to_numpy(int), pdf["hgrid"].to_numpy(int)] = (
-                pdf["cnt"].to_numpy(float) / len(self.train_days)
-            )
-            h = np.arange(spec.fine_side**2)
-            mg = (h // spec.fine_side // spec.m_side) * spec.n_side + (
-                h % spec.fine_side
-            ) // spec.m_side
-            self._alpha_cache[n_side] = (dense, mg)
         return self._alpha_cache[n_side]
 
     def evaluate(self, n_side: int, slot: int) -> UpperBoundResult:

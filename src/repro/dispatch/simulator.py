@@ -81,7 +81,7 @@ def spread_to_cells(pred_mgrid: np.ndarray, spec: GridSpec, P: int) -> np.ndarra
     return pred_mgrid[mg] / cells_per_mgrid[mg]
 
 
-def _allocate(weights: np.ndarray, total: int) -> np.ndarray:
+def allocate(weights: np.ndarray, total: int) -> np.ndarray:
     """Largest-remainder apportionment of ``total`` drivers to cells."""
     w = np.clip(weights, 0.0, None)
     s = w.sum()
@@ -128,7 +128,7 @@ def simulate_day(
         idle = np.flatnonzero(free_at <= t)
         if idle.size == 0:
             continue
-        alloc = _allocate(weights_by_slot[t], idle.size)  # drivers per cell
+        alloc = allocate(weights_by_slot[t], idle.size)  # drivers per cell
         g = by_slot.get(t)
         if g is None:
             continue

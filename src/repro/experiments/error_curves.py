@@ -11,7 +11,11 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.alpha import alpha_by_hgrid
-from repro.core.expression_error import total_expression_error
+# imported under this name because the benchmark tracer (perfbench/tracer.py)
+# patches ``error_curves.total_expression_error``
+from repro.core.expression_error import (
+    total_expression_error_local as total_expression_error,
+)
 from repro.core.grids import grid_spec
 from repro.core.model_error import demand_tensor, total_model_error
 from repro.core.real_error import measured_real_error
@@ -38,10 +42,10 @@ def error_curves(
         tensor = demand_tensor(data.events, spec, days=st.days, slots=st.slots)
         model = MODELS[model_name]().fit(tensor, st.train_days, slot)
         me = total_model_error(tensor, model, eval_days=st.val_days, slot=slot)
-        alpha_df = alpha_by_hgrid(
-            spark, data.events, spec, slot=slot, train_days=st.train_days
+        alphas, mg = alpha_by_hgrid(
+            data.events, spec, train_days=st.train_days, slots=st.slots
         )
-        ee = total_expression_error(alpha_df, spec.m, st.K)
+        ee = total_expression_error(alphas[slot], mg, spec.m, st.K)
         re = measured_real_error(
             spark, data.events, spec, tensor, model, slot=slot, eval_days=st.val_days
         )

@@ -25,7 +25,7 @@ from repro.core.grids import grid_spec
 from repro.core.model_error import demand_tensor
 from repro.core.search import brute_force, iterative_method, ternary_search
 from repro.core.upper_bound import UpperBoundEvaluator
-from repro.dispatch.simulator import _allocate, day_orders, spread_to_cells
+from repro.dispatch.simulator import allocate, day_orders, spread_to_cells
 from repro.experiments.config import CityData
 from repro.models import MODELS
 
@@ -79,7 +79,7 @@ class _ORMeter:
         tensor = self._tensors[s]
         model = MODELS[self.model_name]().fit(tensor, st.train_days, slot)
         pred = model.predict(tensor, st.test_day, slot)
-        alloc = _allocate(spread_to_cells(pred, spec, self.P), self.n_drivers)
+        alloc = allocate(spread_to_cells(pred, spec, self.P), self.n_drivers)
         cells = self._cells_by_slot.get(slot, np.empty(0, dtype=int))
         demand = np.bincount(cells, minlength=self.P * self.P)
         val = int(np.minimum(alloc, demand).sum())

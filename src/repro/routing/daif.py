@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
-from repro.dispatch.simulator import _allocate
+from repro.dispatch.simulator import allocate
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def run_daif_day(
             (open_reqs == 0) & np.array([not q for q in queues], dtype=bool)
         )
         if idle.size:
-            alloc = _allocate(weights_by_slot[t], idle.size)
+            alloc = allocate(weights_by_slot[t], idle.size)
             targets = centers[np.repeat(np.arange(P * P), alloc)]
             step = targets - pos[idle]
             d = np.hypot(step[:, 0], step[:, 1])

@@ -8,7 +8,7 @@ from repro.core.grids import grid_spec
 from repro.dispatch.ls import ls_weights, mean_fare_by_cell
 from repro.dispatch.polar import polar_weights
 from repro.dispatch.simulator import (
-    _allocate,
+    allocate,
     day_orders,
     simulate_day,
     spread_to_cells,
@@ -21,22 +21,22 @@ class TestAllocate:
     def test_sums_to_total(self):
         w = np.array([0.5, 0.3, 0.2, 0.0])
         for total in (0, 1, 7, 100):
-            assert _allocate(w, total).sum() == total
+            assert allocate(w, total).sum() == total
 
     def test_proportional(self):
-        out = _allocate(np.array([3.0, 1.0]), 100)
+        out = allocate(np.array([3.0, 1.0]), 100)
         assert out[0] == 75 and out[1] == 25
 
     def test_largest_remainder(self):
-        out = _allocate(np.array([1.0, 1.0, 1.0]), 4)
+        out = allocate(np.array([1.0, 1.0, 1.0]), 4)
         assert sorted(out.tolist()) == [1, 1, 2]
 
     def test_negative_weights_clipped(self):
-        out = _allocate(np.array([-5.0, 1.0]), 10)
+        out = allocate(np.array([-5.0, 1.0]), 10)
         assert out[0] == 0 and out[1] == 10
 
     def test_all_zero_weights(self):
-        out = _allocate(np.zeros(4), 3)
+        out = allocate(np.zeros(4), 3)
         assert out.sum() == 3 and (out >= 0).all()
 
 

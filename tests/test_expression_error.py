@@ -9,10 +9,9 @@ from repro.core.alpha import alpha_by_hgrid
 from repro.core.expression_error import (
     expression_error_alg1,
     expression_error_alg2,
-    expression_error_by_mgrid,
     expression_error_direct,
     expression_error_fast,
-    total_expression_error,
+    total_expression_error_local,
 )
 from repro.core.grids import grid_spec
 from repro.experiments.config import TESTS
@@ -106,6 +105,23 @@ def test_alg2_equals_direct_property(alpha, beta, m):
     )
 
 
+@given(
+    alpha=st.floats(0.0, 300.0),
+    beta=st.floats(0.0, 700.0),
+    m=st.integers(2, 16),
+    K=st.integers(0, 40),
+)
+@settings(max_examples=200, deadline=None)
+def test_fast_equals_direct_property(alpha, beta, m, K):
+    """The fast kernel is Eq. 7 truncated at (K, (m-1)K) for any K, also
+    far below the Poisson mass and with beta's window beyond (m-1)K."""
+    alphas = np.concatenate([[alpha], np.full(m - 1, beta / (m - 1))])
+    b = float(alphas.sum()) - alpha
+    assert expression_error_fast(alphas, m, K)[0] == pytest.approx(
+        expression_error_direct(alpha, b, m, K), rel=1e-8, abs=1e-10
+    )
+
+
 class TestFastKernel:
     def test_shape_and_dedupe(self):
         alphas = np.array([1.0, 1.0, 2.0, 0.0])
@@ -122,6 +138,31 @@ class TestFastKernel:
         with pytest.raises(ValueError):
             expression_error_fast(np.ones((2, 2)), 4, None)
 
+    def test_window_beyond_truncation(self):
+        """Poisson(beta) lies wholly beyond (m-1)K: every kept Eq. 7 term
+        is negligible, as Alg. 2 and the direct sum agree."""
+        alphas = np.array([1.0] + [50.0] * 63)
+        out = expression_error_fast(alphas, 64, K=5)
+        assert out[0] == expression_error_alg2(1.0, 3150.0, 64, 5) == 0.0
+        assert out[0] == expression_error_direct(1.0, 3150.0, 64, 5)
+
+    @pytest.mark.parametrize(
+        "bad,match",
+        [
+            (np.nan, "alphas contain NaN"),
+            (np.inf, "infinite"),
+            (-np.inf, "infinite"),
+            (-0.5, "negative"),
+        ],
+    )
+    def test_rejects_bad_alpha(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            expression_error_fast(np.array([1.0, bad, 2.0]), 3, None)
+
+    def test_rejects_negative_K(self):
+        with pytest.raises(ValueError, match="K must be >= 0"):
+            expression_error_fast(np.ones(4), 4, -1)
+
     def test_zero_alpha_still_positive_error(self):
         """An empty HGrid inside a busy MGrid still gets beta/m of error."""
         alphas = np.array([0.0, 8.0, 8.0, 8.0])
@@ -135,55 +176,45 @@ class TestFastKernel:
         assert np.isfinite(out).all() and (out >= 0).all()
 
 
-class TestSparkDriver:
-    @pytest.fixture(scope="class")
-    def alpha_df(self, spark, nyc):
+class TestLocalDriver:
+    """:func:`total_expression_error_local` — the one production driver."""
+
+    def test_groups_shuffled_pairs_by_mgrid(self):
+        """Over shuffled (alpha, mgrid) pairs the total equals the sum, over
+        MGrids, of the Eq. 7 direct sum on each MGrid's HGrids."""
+        rng = np.random.default_rng(5)
+        n, m = 6, 4
+        alphas = rng.gamma(1.0, 1.5, n * m) * (rng.random(n * m) > 0.3)
+        mg = np.repeat(np.arange(n), m)
+        perm = rng.permutation(n * m)
+        expect = 0.0
+        for i in range(n):
+            group = alphas[mg == i]
+            total = group.sum()
+            expect += sum(expression_error_direct(a, total - a, m, 60) for a in group)
+        got = total_expression_error_local(alphas[perm], mg[perm], m)
+        assert got == pytest.approx(expect, rel=1e-8, abs=1e-10)
+
+    def test_total_is_sum_over_mgrids(self, nyc):
+        """On real alphas, the total is the per-MGrid fast kernel summed."""
         spec = grid_spec(nyc.cfg, 4, 16)
-        return spec, alpha_by_hgrid(
-            spark, nyc.events, spec, slot=TESTS.default_slot,
-            train_days=TESTS.train_days,
+        alphas, mg = alpha_by_hgrid(
+            nyc.events, spec, train_days=TESTS.train_days, slots=TESTS.slots
+        )
+        row = alphas[TESTS.default_slot]
+        per = pd.Series(row).groupby(mg).apply(
+            lambda g: expression_error_fast(g.to_numpy(), spec.m).sum()
+        )
+        assert len(per) == spec.n and (per >= 0).all()
+        assert total_expression_error_local(row, mg, spec.m) == pytest.approx(
+            per.sum(), rel=1e-12
         )
 
-    def test_one_row_per_mgrid(self, alpha_df):
-        spec, df = alpha_df
-        out = expression_error_by_mgrid(df, spec.m).toPandas()
-        assert len(out) == spec.n
-        assert (out["expr_error"] >= 0).all()
+    def test_rejects_incomplete_mgrid(self):
+        with pytest.raises(ValueError, match="m=4"):
+            total_expression_error_local(np.ones(7), np.repeat([0, 1], [4, 3]), 4)
 
-    def test_matches_local_kernel(self, alpha_df):
-        """The applyInPandas path equals running the kernel on collected
-        alphas — catches partition/grouping mistakes."""
-        spec, df = alpha_df
-        spark_out = (
-            expression_error_by_mgrid(df, spec.m)
-            .toPandas()
-            .set_index("mgrid")["expr_error"]
-            .sort_index()
-        )
-        pdf = df.toPandas()
-        local = {
-            int(mg): float(expression_error_fast(g["alpha"].to_numpy(), spec.m, None).sum())
-            for mg, g in pdf.groupby("mgrid")
-        }
-        local = pd.Series(local).sort_index()
-        np.testing.assert_allclose(spark_out.to_numpy(), local.to_numpy(), rtol=1e-9)
-
-    def test_total_is_sum(self, alpha_df):
-        spec, df = alpha_df
-        per = expression_error_by_mgrid(df, spec.m).toPandas()["expr_error"].sum()
-        assert total_expression_error(df, spec.m) == pytest.approx(per, rel=1e-9)
-
-    def test_local_total_matches_spark_total(self, alpha_df):
-        """The driver-side path the search evaluator uses equals the
-        distributed applyInPandas path."""
-        from repro.core.expression_error import total_expression_error_local
-
-        spec, df = alpha_df
-        pdf = df.toPandas()
-        local = total_expression_error_local(
-            pdf["alpha"].to_numpy(),
-            pdf["mgrid"].to_numpy(),
-            spec.m,
-            None,
-        )
-        assert local == pytest.approx(total_expression_error(df, spec.m), rel=1e-9)
+    def test_rejects_nan(self):
+        alphas = np.array([1.0, np.nan, 0.0, 2.0])
+        with pytest.raises(ValueError, match="alphas contain NaN"):
+            total_expression_error_local(alphas, np.zeros(4, dtype=int), 4)

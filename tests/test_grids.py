@@ -1,11 +1,12 @@
 """Tests for MGrid/HGrid geometry (paper §II-A / Algorithm 3 line 1)."""
 import math
 
+import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
 from repro import synth_data as sd
-from repro.core.grids import grid_spec, hgrid_lattice, with_grid_ids
+from repro.core.grids import grid_spec, mgrid_of_hgrid, with_grid_ids
 from repro.oracle import assert_equivalent
 
 
@@ -66,6 +67,13 @@ class TestWithGridIds:
         )
         assert bad.count() == 0
 
+    def test_mgrid_of_hgrid_matches_spark(self, tagged):
+        """The numpy HGrid -> MGrid map agrees with the Catalyst columns."""
+        spec, df = tagged
+        pairs = df.select("hgrid", "mgrid").distinct().toPandas()
+        mg = mgrid_of_hgrid(spec)
+        np.testing.assert_array_equal(mg[pairs["hgrid"]], pairs["mgrid"])
+
     def test_cell_assignment_matches_duckdb(self, nyc, nyc_pdf):
         """Oracle: the Catalyst floor/least arithmetic = SQL in DuckDB."""
         spec = grid_spec(nyc.cfg, 4, 16)
@@ -106,9 +114,10 @@ class TestWithGridIds:
 
 
 @pytest.mark.parametrize("n_side", [1, 3, 4, 7, 16])
-def test_hgrid_lattice_complete(spark, n_side):
+def test_hgrid_lattice_complete(n_side):
+    """mgrid_of_hgrid covers all fine_side^2 HGrids, m of them per MGrid."""
     spec = grid_spec(sd.NYC, n_side, 16)
-    lat = hgrid_lattice(spark, spec)
-    assert lat.count() == spec.fine_side**2
-    per_mgrid = lat.groupBy("mgrid").count().select("count").distinct().collect()
-    assert len(per_mgrid) == 1 and per_mgrid[0]["count"] == spec.m
+    mg = mgrid_of_hgrid(spec)
+    assert mg.size == spec.fine_side**2
+    per_mgrid = np.unique(np.bincount(mg))
+    assert per_mgrid.tolist() == [spec.m]

@@ -6,7 +6,7 @@ from repro.core.grids import grid_spec
 from repro.core.model_error import demand_tensor, total_model_error
 from repro.core.real_error import measured_expression_error, measured_real_error
 from repro.core.alpha import alpha_by_hgrid
-from repro.core.expression_error import total_expression_error
+from repro.core.expression_error import total_expression_error_local
 from repro.experiments.config import TESTS
 from repro.models import DeepSTLike
 
@@ -74,10 +74,10 @@ def test_theorem_II_1_bound_dominates(spark, nyc, n_side):
     tensor = demand_tensor(nyc.events, spec, days=TESTS.days, slots=TESTS.slots)
     model = DeepSTLike().fit(tensor, TESTS.train_days, TESTS.default_slot)
     me = total_model_error(tensor, model, eval_days=TESTS.val_days, slot=TESTS.default_slot)
-    alpha_df = alpha_by_hgrid(
-        spark, nyc.events, spec, slot=TESTS.default_slot, train_days=TESTS.train_days
+    alphas, mg = alpha_by_hgrid(
+        nyc.events, spec, train_days=TESTS.train_days, slots=TESTS.slots
     )
-    ee = total_expression_error(alpha_df, spec.m)
+    ee = total_expression_error_local(alphas[TESTS.default_slot], mg, spec.m)
     re = measured_real_error(
         spark, nyc.events, spec, tensor, model,
         slot=TESTS.default_slot, eval_days=TESTS.val_days,
@@ -88,12 +88,12 @@ def test_theorem_II_1_bound_dominates(spark, nyc, n_side):
 def test_measured_expression_error_close_to_analytic(spark, nyc):
     """Def. 5 measured on held-out weekdays ~ Algorithm 2's expectation."""
     spec = grid_spec(nyc.cfg, 4, 16)
-    alpha_df = alpha_by_hgrid(
-        spark, nyc.events, spec, slot=TESTS.default_slot, train_days=TESTS.train_days
+    alphas, mg = alpha_by_hgrid(
+        nyc.events, spec, train_days=TESTS.train_days, slots=TESTS.slots
     )
-    analytic = total_expression_error(alpha_df, spec.m)
+    analytic = total_expression_error_local(alphas[TESTS.default_slot], mg, spec.m)
     empirical = measured_expression_error(
-        spark, nyc.events, spec, None,
+        spark, nyc.events, spec,
         slot=TESTS.default_slot, eval_days=TESTS.val_days,
     )
     assert empirical == pytest.approx(analytic, rel=0.25)
@@ -119,7 +119,7 @@ def test_perfect_model_real_error_equals_empirical_expression_error(spark, nyc):
         slot=TESTS.default_slot, eval_days=TESTS.val_days,
     )
     ee = measured_expression_error(
-        spark, nyc.events, spec, None,
+        spark, nyc.events, spec,
         slot=TESTS.default_slot, eval_days=TESTS.val_days,
     )
     assert re == pytest.approx(ee, rel=1e-9)

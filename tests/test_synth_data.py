@@ -141,20 +141,3 @@ def test_spark_frame_matches_pandas(spark):
     sdf = sd.taxi_trips(spark, sd.XIAN, sf=0.005, days=3)
     assert sdf.count() == len(pdf)
     assert [f.name for f in sdf.schema.fields] == list(pdf.columns)
-
-
-class TestTpchLite:
-    """The provided TPC-H-lite generators still work (used by oracle smoke)."""
-
-    def test_lineitem(self, spark):
-        df = sd.lineitem(spark, sf=0.001)
-        assert df.count() == 6000
-        assert "l_orderkey" in df.columns
-
-    def test_orders(self, spark):
-        assert sd.orders(spark, sf=0.001).count() == 1500
-
-    def test_zipf_keys_skewed(self, spark):
-        df = sd.zipf_keys(spark, n=5000, n_keys=100).toPandas()
-        top = df["k"].value_counts().iloc[0]
-        assert top > 5000 / 100 * 3  # far above uniform share

@@ -55,19 +55,23 @@ def test_elapsed_accumulates(evaluator):
     assert evaluator.elapsed > before
 
 
-def test_expr_error_matches_spark_pipeline(spark, nyc, evaluator):
-    """The evaluator's amortised alpha path reproduces exactly the
-    alpha_by_hgrid -> applyInPandas expression-error total."""
-    from repro.core.alpha import alpha_by_hgrid
-    from repro.core.expression_error import total_expression_error
-    from repro.core.grids import grid_spec
+def test_expr_error_matches_spark_pipeline(nyc, nyc_pdf, evaluator):
+    """The evaluator's Spark alpha aggregation + local kernel reproduce
+    exactly the kernel on alphas binned in numpy from the raw events."""
+    import numpy as np
+
+    from repro.core.expression_error import total_expression_error_local
+    from repro.core.grids import grid_spec, mgrid_of_hgrid
 
     r = evaluator.evaluate(4, TESTS.default_slot)
     spec = grid_spec(nyc.cfg, 4, TESTS.N_side)
-    alpha_df = alpha_by_hgrid(
-        spark, nyc.events, spec, slot=TESTS.default_slot,
-        train_days=TESTS.train_days,
-    )
-    assert r.expr_error == pytest.approx(
-        total_expression_error(alpha_df, spec.m, TESTS.K), rel=1e-9
+    fs = spec.fine_side
+    ev = nyc_pdf[
+        (nyc_pdf["slot"] == TESTS.default_slot) & nyc_pdf["day"].isin(TESTS.train_days)
+    ]
+    fx = np.minimum(np.floor(ev["x"].to_numpy() / (spec.width_km / fs)).astype(int), fs - 1)
+    fy = np.minimum(np.floor(ev["y"].to_numpy() / (spec.height_km / fs)).astype(int), fs - 1)
+    alphas = np.bincount(fy * fs + fx, minlength=fs**2) / len(TESTS.train_days)
+    assert r.expr_error == total_expression_error_local(
+        alphas, mgrid_of_hgrid(spec), spec.m, TESTS.K
     )
