@@ -1,5 +1,7 @@
-"""Benchmark: one Algorithm-3 UpperBound evaluation as a Spark job —
-the unit of cost every §IV search algorithm pays per candidate n."""
+"""Benchmark: one Algorithm-3 UpperBound evaluation — the unit of cost
+every §IV search algorithm pays per candidate n. The warm-up round fills
+the city's count cache, so the timed rounds measure model fit, model error
+and the expression-error kernel."""
 import pytest
 
 from repro.core.upper_bound import UpperBoundEvaluator
@@ -9,11 +11,7 @@ from repro.models import MODELS
 
 @pytest.fixture(scope="module")
 def evaluator(spark, bench_nyc):
-    return UpperBoundEvaluator(
-        spark, bench_nyc.events, bench_nyc.cfg, BENCH.N_side, MODELS["deepst"],
-        days=BENCH.days, slots=BENCH.slots,
-        train_days=BENCH.train_days, val_days=BENCH.val_days, K=BENCH.K,
-    )
+    return UpperBoundEvaluator.for_city(spark, bench_nyc, MODELS["deepst"])
 
 
 @pytest.mark.parametrize("n_side", [2, 4, 8, 16])

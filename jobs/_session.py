@@ -1,20 +1,40 @@
-"""Shared SparkSession bootstrap for spark-submit entrypoints.
+"""The one Spark session rule, shared by jobs, tests and benchmarks.
 
-Jobs create their own session (they run standalone, outside pytest); tests
-always use the ``spark`` fixture from conftest.py instead.
+The spark-submit entrypoints in ``jobs/`` call :func:`get_spark`, and so
+does the ``spark`` fixture of the root ``conftest.py`` that ``tests/`` and
+``benchmarks/`` use: every caller gets the same master, driver heap and SQL
+confs. (``perfbench/run.py`` keeps its own copy of these settings.)
 """
 import os
 
 from pyspark.sql import SparkSession
 
 
+def driver_mem() -> str:
+    """``SPARK_DRIVER_MEM``, else half of MemTotal clamped to [2, 8] GiB."""
+    if m := os.environ.get("SPARK_DRIVER_MEM"):
+        return m
+    try:
+        with open("/proc/meminfo") as f:
+            kb = next(int(line.split()[1]) for line in f if line.startswith("MemTotal:"))
+    except (OSError, StopIteration, ValueError):
+        return "2g"
+    return f"{min(8, max(2, kb // 2097152))}g"
+
+
 def get_spark(app: str) -> SparkSession:
+    """The process's SparkSession, launched on the first call.
+
+    Master and driver heap are read by the JVM only when it starts, so they
+    go in ``PYSPARK_SUBMIT_ARGS`` (an explicit value in the environment
+    wins). Broadcast joins are off so every caller runs the same shuffle
+    plans.
+    """
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '16g')} "
-        "--conf spark.driver.host=127.0.0.1 "
-        "--conf spark.ui.enabled=false pyspark-shell",
+        f"--driver-memory {driver_mem()} "
+        "--conf spark.driver.host=127.0.0.1 --conf spark.ui.enabled=false pyspark-shell",
     )
     s = (
         SparkSession.builder.appName(app)

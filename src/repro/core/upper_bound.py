@@ -1,16 +1,16 @@
 """Upper bound e(sqrt(n)) of the total real error — paper Algorithm 3.
 
 ``UpperBound(n, N, X, Model)`` = total model error (n * MAE, Eq. 20)
-+ total expression error (Algorithm 2 over every HGrid). The evaluator
-below backs the §IV search algorithms. Per candidate n it issues two Spark
-aggregations — the (day, slot, mgrid) demand tensor and the
-(slot, hgrid) alpha table of :func:`repro.core.alpha.alpha_by_hgrid` —
-and caches both (pure data prep, amortised over the slots the search
-probes at that n). Per (n, slot) call it trains the model fresh and runs
-the O(mK) Algorithm-2 kernel locally over that slot's alpha row, matching
-the paper's cost anatomy where "the time cost of training the model is
-considerable when calculating e(sqrt(n))". The error-curve harness uses
-the same aggregation and kernel.
++ total expression error (Algorithm 2 over every HGrid). Its two inputs
+per candidate n are count tables: the (days, slots, n) demand tensor and
+the (slots, fine_side^2) alpha table of
+:func:`repro.core.alpha.alpha_by_hgrid`. :class:`GridCounts` builds each
+with one Spark aggregation on first use and keeps it for the city
+(``CityData.counts``), so the evaluator, Table III/IV and the error curves
+share one cache. Per (n, slot) the evaluator trains the model fresh and
+runs the O(mK) Algorithm-2 kernel locally over that slot's alpha row,
+matching the paper's cost anatomy where "the time cost of training the
+model is considerable when calculating e(sqrt(n))".
 """
 import time
 from dataclasses import dataclass, field
@@ -40,13 +40,51 @@ class UpperBoundResult:
 
 
 @dataclass
+class GridCounts:
+    """One city's count tables per grid side: each built by one Spark
+    aggregation on first use, then shared read-only by every consumer."""
+
+    events: DataFrame
+    cfg: CityConfig
+    N_side: int
+    days: int
+    slots: int
+    train_days: list[int]
+    _tensors: dict = field(default_factory=dict, repr=False)
+    _alpha_cache: dict = field(default_factory=dict, repr=False)
+
+    def spec(self, n_side: int) -> GridSpec:
+        return grid_spec(self.cfg, n_side, self.N_side)
+
+    def tensor(self, n_side: int) -> np.ndarray:
+        """(days, slots, n) demand tensor at side ``n_side``."""
+        if n_side not in self._tensors:
+            t = demand_tensor(self.events, self.spec(n_side), days=self.days, slots=self.slots)
+            t.setflags(write=False)
+            self._tensors[n_side] = t
+        return self._tensors[n_side]
+
+    def alphas(self, n_side: int) -> tuple[np.ndarray, np.ndarray]:
+        """(slots, fine^2) training-weekday alphas and the HGrid->MGrid map."""
+        if n_side not in self._alpha_cache:
+            pair = alpha_by_hgrid(
+                self.events, self.spec(n_side), train_days=self.train_days, slots=self.slots
+            )
+            for a in pair:
+                a.setflags(write=False)
+            self._alpha_cache[n_side] = pair
+        return self._alpha_cache[n_side]
+
+
+@dataclass
 class UpperBoundEvaluator:
     """Caching evaluator of Algorithm 3 over one city's events.
 
     ``evaluate(n_side, slot)`` returns the bound for n = n_side^2 at one
     time slot. Results are memoised per (n_side, slot); ``calls`` counts
     distinct bound computations and ``elapsed`` their total wall time —
-    the quantities Table IV reports as search cost.
+    the quantities Table IV reports as search cost. Count tables come from
+    ``_counts``: a city's shared cache (:meth:`for_city`) or a private one.
     """
 
     spark: SparkSession
@@ -61,41 +99,33 @@ class UpperBoundEvaluator:
     K: int | None = None
     calls: int = 0
     elapsed: float = 0.0
-    _tensors: dict = field(default_factory=dict)
-    _alpha_cache: dict = field(default_factory=dict)
     _bounds: dict = field(default_factory=dict)
+    # an init field, so dataclasses.replace() copies share the count cache
+    _counts: GridCounts | None = None
 
-    def spec(self, n_side: int) -> GridSpec:
-        return grid_spec(self.cfg, n_side, self.N_side)
-
-    def _tensor(self, n_side: int) -> np.ndarray:
-        if n_side not in self._tensors:
-            self._tensors[n_side] = demand_tensor(
-                self.events, self.spec(n_side), days=self.days, slots=self.slots
+    def __post_init__(self):
+        if self._counts is None:
+            self._counts = GridCounts(
+                self.events, self.cfg, self.N_side, self.days, self.slots, self.train_days
             )
-        return self._tensors[n_side]
 
-    def _alphas(self, n_side: int) -> tuple[np.ndarray, np.ndarray]:
-        """(slots, fine^2) training-weekday alphas and the HGrid->MGrid map,
-        from ONE Spark aggregation per grid size (amortised over all the
-        slots the search will probe at this n)."""
-        if n_side not in self._alpha_cache:
-            self._alpha_cache[n_side] = alpha_by_hgrid(
-                self.events, self.spec(n_side),
-                train_days=self.train_days, slots=self.slots,
-            )
-        return self._alpha_cache[n_side]
+    @classmethod
+    def for_city(cls, spark: SparkSession, data, model_factory) -> "UpperBoundEvaluator":
+        """An evaluator over ``data`` (a ``CityData``) sharing ``data.counts``."""
+        st = data.settings
+        return cls(spark, data.events, data.cfg, st.N_side, model_factory, st.days, st.slots,
+                   st.train_days, st.val_days, st.K, _counts=data.counts)
 
     def evaluate(self, n_side: int, slot: int) -> UpperBoundResult:
         key = (n_side, slot)
         if key in self._bounds:
             return self._bounds[key]
         t0 = time.perf_counter()
-        spec = self.spec(n_side)
-        tensor = self._tensor(n_side)
+        spec = self._counts.spec(n_side)
+        tensor = self._counts.tensor(n_side)
         model = self.model_factory().fit(tensor, self.train_days, slot)
         me = total_model_error(tensor, model, eval_days=self.val_days, slot=slot)
-        alphas, mg = self._alphas(n_side)
+        alphas, mg = self._counts.alphas(n_side)
         ee = total_expression_error_local(alphas[slot], mg, spec.m, self.K)
         res = UpperBoundResult(n_side, slot, me, ee)
         self._bounds[key] = res

@@ -8,11 +8,13 @@ N=32^2) for benchmarks/jobs. Fractions of N_side are preserved: the paper's
 default/original grid 16 of 128 (2km x 2km) maps to N_side/8; the sweep's
 upper end 76 of 128 maps to ~0.6*N_side.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.alpha import weekday_days
+from repro.core.upper_bound import GridCounts
 from repro.synth_data import CITIES, SLOTS_PER_DAY, CityConfig, taxi_trips
 
 
@@ -61,11 +63,16 @@ BENCH = Settings(sf=0.1, N_side=32)
 
 @dataclass
 class CityData:
-    """A loaded city: config + cached Spark event frame + split definition."""
+    """A loaded city: config, cached event frame, splits and count cache."""
 
     cfg: CityConfig
     events: DataFrame
     settings: Settings
+
+    @cached_property
+    def counts(self) -> GridCounts:
+        st = self.settings
+        return GridCounts(self.events, self.cfg, st.N_side, st.days, st.slots, st.train_days)
 
 
 def load_city(spark: SparkSession, name: str, settings: Settings) -> CityData:

@@ -10,14 +10,13 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.alpha import alpha_by_hgrid
-# imported under this name because the benchmark tracer (perfbench/tracer.py)
-# patches ``error_curves.total_expression_error``
+# perfbench/tracer.py patches these names here: the local kernel driver as
+# ``total_expression_error``; ``alpha_by_hgrid`` and ``demand_tensor`` only for it
+from repro.core.alpha import alpha_by_hgrid  # noqa: F401
 from repro.core.expression_error import (
     total_expression_error_local as total_expression_error,
 )
-from repro.core.grids import grid_spec
-from repro.core.model_error import demand_tensor, total_model_error
+from repro.core.model_error import demand_tensor, total_model_error  # noqa: F401
 from repro.core.real_error import measured_real_error
 from repro.experiments.config import CityData
 from repro.models import MODELS
@@ -38,13 +37,10 @@ def error_curves(
     slot = st.default_slot if slot is None else slot
     rows = []
     for s in n_sides:
-        spec = grid_spec(data.cfg, s, st.N_side)
-        tensor = demand_tensor(data.events, spec, days=st.days, slots=st.slots)
+        spec, tensor = data.counts.spec(s), data.counts.tensor(s)
         model = MODELS[model_name]().fit(tensor, st.train_days, slot)
         me = total_model_error(tensor, model, eval_days=st.val_days, slot=slot)
-        alphas, mg = alpha_by_hgrid(
-            data.events, spec, train_days=st.train_days, slots=st.slots
-        )
+        alphas, mg = data.counts.alphas(s)
         ee = total_expression_error(alphas[slot], mg, spec.m, st.K)
         re = measured_real_error(
             spark, data.events, spec, tensor, model, slot=slot, eval_days=st.val_days

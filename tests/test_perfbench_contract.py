@@ -76,5 +76,4 @@ def test_evaluator_replace_shares_count_caches(bench):
         None, None, None, 16, None, days=1, slots=1, train_days=[0], val_days=[0]
     )
     copy = dataclasses.replace(ev, _bounds={}, calls=0, elapsed=0.0)
-    assert copy._tensors is ev._tensors
-    assert copy._alpha_cache is ev._alpha_cache
+    assert copy._counts is ev._counts

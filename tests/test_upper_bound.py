@@ -8,11 +8,7 @@ from repro.models import MODELS
 
 @pytest.fixture(scope="module")
 def evaluator(spark, nyc):
-    return UpperBoundEvaluator(
-        spark, nyc.events, nyc.cfg, TESTS.N_side, MODELS["deepst"],
-        days=TESTS.days, slots=TESTS.slots,
-        train_days=TESTS.train_days, val_days=TESTS.val_days, K=TESTS.K,
-    )
+    return UpperBoundEvaluator.for_city(spark, nyc, MODELS["deepst"])
 
 
 def test_bound_is_sum_of_components(evaluator):
@@ -44,9 +40,22 @@ def test_bound_fn_matches_evaluate(evaluator):
 
 def test_tensor_cache_shared_across_slots(evaluator):
     evaluator.evaluate(7, 10)
-    n_tensors = len(evaluator._tensors)
+    n_tensors = len(evaluator._counts._tensors)
     evaluator.evaluate(7, 11)
-    assert len(evaluator._tensors) == n_tensors
+    assert len(evaluator._counts._tensors) == n_tensors
+
+
+def test_for_city_shares_city_counts(nyc, evaluator):
+    assert evaluator._counts is nyc.counts
+    assert evaluator._counts.tensor(4) is nyc.counts.tensor(4)
+
+
+def test_counts_are_read_only(nyc):
+    """One array serves every consumer of the city, so writes must fail."""
+    with pytest.raises(ValueError):
+        nyc.counts.tensor(4)[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        nyc.counts.alphas(4)[0][0, 0] += 1.0
 
 
 def test_elapsed_accumulates(evaluator):
