@@ -13,11 +13,12 @@ alpha_ig``), the error of uniform spreading is
 * :func:`expression_error_alg1` — the paper's Algorithm 1, O(m*K^2);
 * :func:`expression_error_alg2` — the paper's Algorithm 2, O(m*K),
   using the incremental e1'/e2' updates of Eq. 17-19;
-* :func:`expression_error_fast` — a vectorised, log-space-stable,
-  windowed kernel (same math as Algorithm 2, safe for large beta);
-* :func:`total_expression_error_local` — the production driver: the fast
-  kernel over every MGrid of one slot's alpha row, run on the Spark driver
-  after the single alpha aggregation of :mod:`repro.core.alpha`.
+* :func:`total_expression_error_local` — the production driver: one
+  batched, log-space-stable, windowed kernel (same math as Algorithm 2,
+  safe for large beta) over every HGrid of one slot's alpha row at once,
+  run on the Spark driver after the single alpha aggregation of
+  :mod:`repro.core.alpha`;
+* :func:`expression_error_fast` — the same kernel on one MGrid's HGrids.
 
 Sign convention: the paper's indicator uses I(0) = +1 (Eq. 18 includes the
 boundary term in the doubled sum); the Delta = 0 terms cancel between e1
@@ -120,30 +121,78 @@ def expression_error_alg2(alpha: float, beta: float, m: int, K: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# fast vectorised kernel and its driver (the production path)
+# batched kernel and its drivers (the production path)
 # ---------------------------------------------------------------------------
 
-def _log_pois_window(lam: float, k_max: int) -> tuple[int, np.ndarray]:
-    """(lo, pmf[lo..hi]) — Poisson(lam) pmf on a +-_WINDOW_SIGMA*sqrt window
-    clipped to [0, k_max], computed in log space so it is stable for
-    arbitrarily large lam. Empty when the whole window lies beyond k_max."""
-    if lam <= 0.0:
-        return 0, np.ones(1)
-    half = _WINDOW_SIGMA * math.sqrt(lam) + 10.0
-    lo = max(0, int(lam - half))
-    hi = min(k_max, int(lam + half) + 1)
-    k = np.arange(lo, hi + 1, dtype=np.float64)
-    # log k! via cumsum of logs within the window: log(lo!) + cumsum(log k)
-    log_fact_lo = math.lgamma(lo + 1)
-    log_fact = log_fact_lo + np.concatenate(
-        ([0.0], np.cumsum(np.log(np.arange(lo + 1, hi + 1))))
+#: padded window cells (alpha and beta windows together) evaluated in one
+#: block, so the kernel's scratch memory stays a few MB whatever the lattice
+_BLOCK_CELLS = 1 << 17
+
+#: log k! for k below its size, exact; Stirling's series above
+_LOG_FACT = np.array([math.lgamma(k + 1) for k in range(4096)])
+
+
+def _log_factorial(k: np.ndarray) -> np.ndarray:
+    """log k! of non-negative integers (Stirling's series error < 1e-25
+    where it is used)."""
+    z = np.maximum(k, _LOG_FACT.size) + 1.0
+    stirling = (
+        (z - 0.5) * np.log(z) - z + 0.5 * math.log(2.0 * math.pi)
+        + (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * z * z)) / (z * z)) / z
     )
-    return lo, np.exp(k * math.log(lam) - lam - log_fact)
+    return np.where(k < _LOG_FACT.size, _LOG_FACT[np.minimum(k, _LOG_FACT.size - 1)], stirling)
 
 
-def _auto_K(alpha: float) -> int:
+def _window_bounds(lam: np.ndarray, k_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of each Poisson(lam) window: lam +- _WINDOW_SIGMA*sqrt(lam)
+    + 10, clipped to [0, k_max]; hi < lo when it lies wholly beyond k_max.
+    Poisson(0) is the point mass at 0."""
+    half = _WINDOW_SIGMA * np.sqrt(lam) + 10.0
+    lo = np.maximum(0, (lam - half).astype(np.int64))
+    hi = np.where(lam > 0, np.minimum(k_max, (lam + half).astype(np.int64) + 1), 0)
+    return lo, hi
+
+
+def _log_pois_window(lam: np.ndarray, k_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, pmf): row r of pmf holds the Poisson(lam[r]) pmf at lo[r] + 0..W-1
+    on its :func:`_window_bounds` window, zero-padded to the widest row (all
+    zero when the window is empty). Computed in log space, so it is stable
+    for arbitrarily large lam."""
+    lo, hi = _window_bounds(lam, k_max)
+    width = hi - lo + 1
+    j = np.arange(max(int(width.max(initial=0)), 1))
+    k = lo[:, None] + j
+    # log k! = log(lo!) + cumsum of log k within the window
+    log_fact = np.zeros(k.shape)
+    np.cumsum(np.log(k[:, 1:]), axis=1, out=log_fact[:, 1:])
+    log_fact += _log_factorial(lo)[:, None]
+    log_lam = np.log(np.where(lam > 0, lam, 1.0))  # lam = 0 keeps only k = 0
+    log_pmf = k * log_lam[:, None] - lam[:, None] - log_fact
+    return lo, np.where(j < width[:, None], np.exp(log_pmf), 0.0)
+
+
+def _auto_K(alpha: np.ndarray) -> np.ndarray:
     """Smallest K covering Poisson(alpha)'s mass with a wide safety margin."""
-    return int(alpha + _WINDOW_SIGMA * math.sqrt(alpha)) + 12
+    return (alpha + _WINDOW_SIGMA * np.sqrt(alpha)).astype(np.int64) + 12
+
+
+def _block(alpha: np.ndarray, beta: np.ndarray, k_cap: np.ndarray, m: int) -> np.ndarray:
+    """E_e of each (alpha, beta) row truncated at k_h <= k_cap,
+    k_m <= (m-1)*k_cap: Algorithm 2's e1/e2 with C_beta and D_beta read
+    off windowed cumsums at q = (m-1)*k_h."""
+    lo_a, pmf_a = _log_pois_window(alpha, k_cap)
+    lo_b, pmf_b = _log_pois_window(beta, (m - 1) * k_cap)
+    k_b = lo_b[:, None] + np.arange(pmf_b.shape[1])
+    # cdf and partial mean of Poisson(beta); the zero padding past each
+    # window makes the last column the row's window total
+    cum = np.cumsum(np.stack([pmf_b, k_b * pmf_b]), axis=2)
+    k_h = lo_a[:, None] + np.arange(pmf_a.shape[1])
+    idx = (m - 1) * k_h - lo_b[:, None]
+    at_q = np.take_along_axis(cum, np.clip(idx, 0, pmf_b.shape[1] - 1)[None], axis=2)
+    dev = 2.0 * np.where(idx < 0, 0.0, at_q) - cum[:, :, -1:]  # 2C(q) - C, 2D(q) - D
+    e1 = (k_h * pmf_a * dev[0]).sum(axis=1)
+    e2 = (pmf_a * dev[1]).sum(axis=1)
+    return ((m - 1) * e1 - e2) / m
 
 
 def _checked(alphas, K: int | None) -> np.ndarray:
@@ -160,10 +209,49 @@ def _checked(alphas, K: int | None) -> np.ndarray:
     return alphas
 
 
+def _expression_errors(
+    alphas: np.ndarray, mgrid_of_cell: np.ndarray, m: int, K: int | None
+) -> np.ndarray:
+    """E_e of every HGrid, for checked 1-D ``alphas`` and their MGrid ids.
+
+    beta_j is its MGrid's total minus alpha_j. Equal (alpha, beta) pairs
+    share one evaluation; the distinct pairs, sorted by beta so that
+    neighbours have similar window widths, are evaluated in blocks of at
+    most _BLOCK_CELLS padded cells (one wider row is a block of its own).
+    """
+    _, mg, sizes = np.unique(mgrid_of_cell, return_inverse=True, return_counts=True)
+    if (sizes != m).any():
+        raise ValueError(f"every MGrid must have m={m} HGrids")
+    if m == 1:
+        return np.zeros(alphas.size)  # the HGrid is its MGrid
+    betas = np.bincount(mg, alphas)[mg] - alphas
+    pairs, inv = np.unique(np.stack([betas, alphas], axis=1), axis=0, return_inverse=True)
+    beta, alpha = pairs[:, 0], pairs[:, 1]
+    if K is None:
+        # k_h must cover alpha's mass AND (m-1)*K must cover beta's mass
+        k_cap = np.maximum(_auto_K(alpha), -(-_auto_K(beta) // (m - 1)))
+    else:
+        k_cap = np.full(alpha.size, K, dtype=np.int64)
+    lo_a, hi_a = _window_bounds(alpha, k_cap)
+    lo_b, hi_b = _window_bounds(beta, (m - 1) * k_cap)
+    w_a = np.maximum(hi_a - lo_a + 1, 1)
+    w_b = np.maximum(hi_b - lo_b + 1, 1)
+    ee = np.empty(alpha.size)
+    start = 0
+    while start < alpha.size:
+        # the widest windows among the rows a block could hold bound its rows
+        span = slice(start, start + _BLOCK_CELLS // int(w_a[start] + w_b[start]) + 1)
+        stop = start + max(1, _BLOCK_CELLS // int(w_a[span].max() + w_b[span].max()))
+        rows = slice(start, stop)
+        ee[rows] = _block(alpha[rows], beta[rows], k_cap[rows], m)
+        start = stop
+    return ee[inv.reshape(-1)]
+
+
 def expression_error_fast(
     alphas: np.ndarray, m: int, K: int | None = None
 ) -> np.ndarray:
-    """Vectorised E_e for every HGrid of one MGrid.
+    """E_e for every HGrid of one MGrid, by the batched kernel.
 
     ``alphas`` holds the m per-HGrid means (zeros included; NaN, infinite
     or negative values raise ``ValueError``). For HGrid j,
@@ -181,52 +269,7 @@ def expression_error_fast(
         raise ValueError("alphas must be 1-D (the m HGrids of one MGrid)")
     if m != alphas.size:
         raise ValueError(f"m={m} but got {alphas.size} alphas")
-    return _fast_mgrid(alphas, K)
-
-
-def _fast_mgrid(alphas: np.ndarray, K: int | None) -> np.ndarray:
-    """:func:`expression_error_fast` on already-checked alphas, m = size."""
-    m = alphas.size
-    if m == 1:
-        return np.zeros(1)
-    total = float(alphas.sum())
-    uniq, inv = np.unique(alphas, return_inverse=True)
-    uniq_ee = np.array(
-        [_fast_one(float(a), total - float(a), m, K) for a in uniq]
-    )
-    return uniq_ee[inv]
-
-
-def _fast_one(alpha: float, beta: float, m: int, K: int | None) -> float:
-    if K is None:
-        # k_h must cover alpha's mass AND (m-1)*K must cover beta's mass
-        k_cap = max(_auto_K(alpha), -(-_auto_K(beta) // (m - 1)))
-    else:
-        k_cap = K
-    k_top = (m - 1) * k_cap
-    lo_a, pmf_a = _log_pois_window(alpha, k_cap)
-    lo_b, pmf_b = _log_pois_window(beta, k_top)
-    if pmf_a.size == 0 or pmf_b.size == 0:
-        return 0.0  # every kept term lies in a discarded tail
-    kh = np.arange(lo_a, lo_a + pmf_a.size, dtype=np.float64)
-    cdf_b = np.cumsum(pmf_b)
-    mean_b = np.cumsum(np.arange(lo_b, lo_b + pmf_b.size) * pmf_b)
-    w_total, d_total = cdf_b[-1], mean_b[-1]
-
-    def _at(cum: np.ndarray, q: np.ndarray, below: float, above: np.ndarray) -> np.ndarray:
-        """cum evaluated at integer points q with window clipping."""
-        idx = q - lo_b
-        res = np.where(idx < 0, below, above)
-        inside = (idx >= 0) & (idx < cum.size)
-        res[inside] = cum[idx[inside].astype(np.int64)]
-        return res
-
-    q = ((m - 1) * kh).astype(np.int64)
-    c_q = _at(cdf_b, q, 0.0, np.full(q.size, w_total))
-    d_q = _at(mean_b, q, 0.0, np.full(q.size, d_total))
-    e1 = float(np.sum(kh * pmf_a * (2.0 * c_q - w_total)))
-    e2 = float(np.sum(pmf_a * (2.0 * d_q - d_total)))
-    return ((m - 1) * e1 - e2) / m
+    return _expression_errors(alphas, np.zeros(m, dtype=np.int64), m, K)
 
 
 def total_expression_error_local(
@@ -236,18 +279,14 @@ def total_expression_error_local(
     Algorithm 3 adds up).
 
     ``alphas`` holds one value per HGrid and ``mgrid_of_cell`` its MGrid
-    id, in any order; every MGrid must have its m HGrids. The O(mK) kernel
-    runs once per MGrid on the driver — ~0.1 ms each, far below a Spark
-    job round trip — over one row of :func:`repro.core.alpha.alpha_by_hgrid`.
+    id, in any order; every MGrid must have its m HGrids. The whole slot —
+    one row of :func:`repro.core.alpha.alpha_by_hgrid` — goes through the
+    batched kernel in a few numpy calls per block, on the driver.
     """
     alphas = _checked(alphas, K)
-    order = np.argsort(mgrid_of_cell, kind="stable")
-    sorted_mg = mgrid_of_cell[order]
-    sorted_a = alphas[order]
-    bounds = np.flatnonzero(np.diff(sorted_mg)) + 1
-    if (np.diff(bounds, prepend=0, append=sorted_a.size) != m).any():
-        raise ValueError(f"every MGrid must have m={m} HGrids")
-    total = 0.0
-    for group in np.split(sorted_a, bounds):
-        total += float(_fast_mgrid(group, K).sum())
-    return total
+    mgrid_of_cell = np.asarray(mgrid_of_cell)
+    if alphas.ndim != 1 or alphas.shape != mgrid_of_cell.shape:
+        raise ValueError(
+            f"got {alphas.size} alphas but {mgrid_of_cell.size} MGrid ids (one per HGrid)"
+        )
+    return float(_expression_errors(alphas, mgrid_of_cell, m, K).sum())

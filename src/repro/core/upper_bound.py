@@ -8,9 +8,10 @@ the (slots, fine_side^2) alpha table of
 with one Spark aggregation on first use and keeps it for the city
 (``CityData.counts``), so the evaluator, Table III/IV and the error curves
 share one cache. Per (n, slot) the evaluator trains the model fresh and
-runs the O(mK) Algorithm-2 kernel locally over that slot's alpha row,
-matching the paper's cost anatomy where "the time cost of training the
-model is considerable when calculating e(sqrt(n))".
+runs the batched Algorithm-2 kernel locally over every HGrid of that
+slot's alpha row at once, matching the paper's cost anatomy where "the
+time cost of training the model is considerable when calculating
+e(sqrt(n))".
 """
 import time
 from dataclasses import dataclass, field

@@ -1,8 +1,11 @@
 """Tests for expression error (paper §III-B, Eq. 7, Algorithms 1-2)."""
+import math
+import tracemalloc
+
 import numpy as np
 import pandas as pd
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.alpha import alpha_by_hgrid
@@ -218,3 +221,69 @@ class TestLocalDriver:
         alphas = np.array([1.0, np.nan, 0.0, 2.0])
         with pytest.raises(ValueError, match="alphas contain NaN"):
             total_expression_error_local(alphas, np.zeros(4, dtype=int), 4)
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="got 8 alphas but 7 MGrid ids"):
+            total_expression_error_local(np.ones(8), np.repeat([0, 1], [4, 3]), 4)
+
+    def test_m_equals_one_is_zero(self):
+        """side = N_side: every HGrid is its own MGrid, uniform spreading is exact."""
+        assert total_expression_error_local(np.array([3.0, 0.0, 7.5]), np.arange(3), 1) == 0.0
+
+    def test_bounded_memory(self):
+        """2 MGrids x m = 1024 distinct alphas ~ U(40, 60): beta ~ 51k, so each
+        beta window is ~6.4k cells wide and one unblocked pad of all 2048
+        windows would take over 100 MB per array."""
+        rng = np.random.default_rng(3)
+        alphas = rng.uniform(40.0, 60.0, 2 * 1024)
+        mg = np.repeat([0, 1], 1024)
+        tracemalloc.start()
+        try:
+            got = total_expression_error_local(alphas, mg, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert math.isfinite(got) and got >= 0
+
+
+def _cover(lam: float) -> int:
+    """A truncation K that covers Poisson(lam)'s mass far beyond double precision."""
+    return int(lam + 14.0 * math.sqrt(lam)) + 12
+
+
+@st.composite
+def _slots(draw):
+    """One slot's (alphas, MGrid ids, m, K): several MGrids in shuffled HGrid
+    order, alphas drawn from a small pool holding 0 (so values repeat), and
+    K either auto or explicit — small enough for whole windows to lie past
+    the truncation when alphas reach 300."""
+    m = draw(st.integers(2, 16))
+    n = draw(st.integers(2, 5))
+    K = draw(st.one_of(st.none(), st.integers(0, 40)))
+    top = 20.0 if K is None else 300.0
+    pool = [0.0, *draw(st.lists(st.floats(0.0, top), min_size=1, max_size=5))]
+    alphas = np.array(draw(st.lists(st.sampled_from(pool), min_size=n * m, max_size=n * m)))
+    mg = np.repeat(np.arange(n), m)[draw(st.permutations(range(n * m)))]
+    return alphas, mg, m, K
+
+
+@given(case=_slots())
+@example(case=(np.array([0.0, 1.0, 300.0, 300.0, 0.0, 0.0, 3.0, 3.0]),
+               np.array([0, 1, 0, 1, 1, 0, 0, 1]), 4, 2))
+@settings(max_examples=60, deadline=None)
+def test_local_driver_equals_direct_property(case):
+    """The whole-slot driver is the per-MGrid Eq. 7 direct sum, also with
+    windows wholly beyond an explicit K (the example: K = 2, alpha = 300
+    and beta >= 300)."""
+    alphas, mg, m, K = case
+    expect = 0.0
+    for i in np.unique(mg):
+        group = alphas[mg == i]
+        total = float(group.sum())
+        k = K if K is not None else max(
+            max(_cover(a) for a in group), -(-_cover(total) // (m - 1))
+        )
+        expect += sum(expression_error_direct(a, total - a, m, k) for a in group)
+    got = total_expression_error_local(alphas, mg, m, K)
+    assert got == pytest.approx(expect, rel=1e-8, abs=1e-10)
