@@ -6,9 +6,9 @@ slot, estimated — as in the paper — as the average count over the same slot
 of the training weekdays ("the average number of events at the same period
 of all workdays in last one month", §V-B).
 
-The estimate is one Spark aggregation per grid size over all slots
-(:func:`alpha_counts`), densified on the driver by :func:`alpha_by_hgrid` —
-the same two steps as ``demand_counts`` / ``demand_tensor``. Every consumer
+The estimate is one numpy binning per grid size over all slots of the
+city's event table (:func:`alpha_by_hgrid`), like ``demand_tensor``; the
+Spark aggregation :func:`alpha_counts` is its test oracle. Every consumer
 (the Algorithm-3 evaluator, the error curves, N-selection) takes one row
 ``[slot]`` of that table.
 
@@ -22,7 +22,7 @@ import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.grids import GridSpec, grid_spec, mgrid_of_hgrid, with_grid_ids
+from repro.core.grids import EventTable, GridSpec, grid_spec, mgrid_of_hgrid, with_grid_ids
 from repro.synth_data import SLOTS_PER_DAY
 
 
@@ -32,8 +32,8 @@ def weekday_days(days: range | list[int]) -> list[int]:
 
 
 def alpha_counts(events: DataFrame, spec: GridSpec, *, train_days: list[int]) -> DataFrame:
-    """Event counts per (slot, hgrid) summed over ``train_days`` — the
-    alpha-estimating aggregation (zero cells omitted)."""
+    """Event counts per (slot, hgrid) summed over ``train_days`` in Spark
+    (zero cells omitted) — the test oracle of :func:`alpha_by_hgrid`."""
     if not train_days:
         raise ValueError("train_days must be non-empty")
     return (
@@ -45,7 +45,7 @@ def alpha_counts(events: DataFrame, spec: GridSpec, *, train_days: list[int]) ->
 
 
 def alpha_by_hgrid(
-    events: DataFrame, spec: GridSpec, *, train_days: list[int], slots: int
+    events: EventTable, spec: GridSpec, *, train_days: list[int], slots: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense ``(slots, fine_side^2)`` alphas and the HGrid -> MGrid map.
 
@@ -53,12 +53,11 @@ def alpha_by_hgrid(
     number of training days (days with zero events count in the mean);
     HGrids that never saw an event have alpha 0.
     """
-    pdf = alpha_counts(events, spec, train_days=train_days).toPandas()
-    alphas = np.zeros((slots, spec.fine_side**2))
-    alphas[pdf["slot"].to_numpy(int), pdf["hgrid"].to_numpy(int)] = (
-        pdf["cnt"].to_numpy(float) / len(train_days)
-    )
-    return alphas, mgrid_of_hgrid(spec)
+    if not train_days:
+        raise ValueError("train_days must be non-empty")
+    cells = spec.fine_side**2
+    counts = events.bincount(spec, slots * cells, lambda b, h: b.slot * cells + h, days=train_days)
+    return counts.reshape(slots, cells) / len(train_days), mgrid_of_hgrid(spec)
 
 
 def d_alpha(alphas: np.ndarray) -> float:
@@ -78,7 +77,7 @@ class NSelection:
 
 
 def select_N(
-    events: DataFrame,
+    events: EventTable,
     cfg,
     *,
     slot: int,
@@ -94,15 +93,11 @@ def select_N(
     "turning point" of Fig. 14. Falls back to the largest candidate.
     """
     cands = sorted(candidates)
-    d_values = [
-        d_alpha(
-            alpha_by_hgrid(
-                events, grid_spec(cfg, s, s), train_days=train_days,
-                slots=SLOTS_PER_DAY,
-            )[0][slot]
-        )
-        for s in cands
-    ]
+    d_values = []
+    for s in cands:
+        spec = grid_spec(cfg, s, s)
+        alphas, _ = alpha_by_hgrid(events, spec, train_days=train_days, slots=SLOTS_PER_DAY)
+        d_values.append(d_alpha(alphas[slot]))
     chosen = cands[-1]
     for i in range(len(cands) - 1):
         prev = d_values[i]

@@ -15,9 +15,8 @@ alpha_ig``), the error of uniform spreading is
   using the incremental e1'/e2' updates of Eq. 17-19;
 * :func:`total_expression_error_local` — the production driver: one
   batched, log-space-stable, windowed kernel (same math as Algorithm 2,
-  safe for large beta) over every HGrid of one slot's alpha row at once,
-  run on the Spark driver after the single alpha aggregation of
-  :mod:`repro.core.alpha`;
+  safe for large beta) over every HGrid of one slot's alpha row at once
+  (a row of the table binned by :mod:`repro.core.alpha`);
 * :func:`expression_error_fast` — the same kernel on one MGrid's HGrids.
 
 Sign convention: the paper's indicator uses I(0) = +1 (Eq. 18 includes the

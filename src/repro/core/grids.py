@@ -9,10 +9,10 @@ smallest per-MGrid subdivision satisfying the paper's constraint
 ``fine_side = n_side * m_side`` cells per side (>= N_side), so HGrids are at
 least as small as the reference homogeneous resolution.
 
-All event->cell assignment is plain Catalyst column arithmetic so it runs
-as a narrow projection — no UDFs, no shuffles.
+Counts are binned in numpy from one collected :class:`EventTable` per city;
+the Catalyst projection :func:`with_grid_ids` is their cell-arithmetic oracle.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import ceil
 
 import numpy as np
@@ -97,6 +97,17 @@ def with_grid_ids(events: DataFrame, spec: GridSpec, x: str = "x", y: str = "y")
     )
 
 
+def cells(coord: np.ndarray, extent_km: float, side: int) -> np.ndarray:
+    """numpy twin of :func:`_cell`: ``floor(c / (extent / side))`` clamped to ``side - 1``."""
+    return np.minimum(np.floor(coord / (extent_km / side)).astype(np.int64), side - 1)
+
+
+def hgrid_ids(x: np.ndarray, y: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """The ``hgrid`` column of :func:`with_grid_ids` for coordinate arrays."""
+    fine = spec.fine_side
+    return cells(y, spec.height_km, fine) * fine + cells(x, spec.width_km, fine)
+
+
 def mgrid_of_hgrid(spec: GridSpec) -> np.ndarray:
     """MGrid id of every HGrid ``0..fine_side^2 - 1`` — the numpy twin of the
     ``mgrid`` column of :func:`with_grid_ids`, covering cells that never saw
@@ -105,3 +116,52 @@ def mgrid_of_hgrid(spec: GridSpec) -> np.ndarray:
     return (h // spec.fine_side // spec.m_side) * spec.n_side + (
         h % spec.fine_side
     ) // spec.m_side
+
+
+#: rows binned at once: binning scratch is bounded by the block, not the event count
+_BLOCK_ROWS = 1 << 17
+
+
+@dataclass(frozen=True)
+class EventTable:
+    """A city's events as driver-side numpy columns, in collection order."""
+
+    day: np.ndarray
+    slot: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    dest_x: np.ndarray
+    dest_y: np.ndarray
+    revenue: np.ndarray
+
+    @classmethod
+    def collect(cls, events: DataFrame) -> "EventTable":
+        """One Arrow collect of ``events``, converted to numpy column by column."""
+        names = [f.name for f in fields(cls)]
+        tbl = events.select(*names).toArrow()
+        return cls(**{name: tbl.column(name).to_numpy() for name in names})
+
+    def rows(self, sel) -> "EventTable":
+        """The rows picked by a mask or slice (a slice gives views)."""
+        return EventTable(**{f.name: getattr(self, f.name)[sel] for f in fields(self)})
+
+    def bincount(
+        self, spec: GridSpec, size: int, key=None, *, days=None, slot=None, weights=None
+    ) -> np.ndarray:
+        """Float counts (or sums of column ``weights``) per ``key(rows, hgrid)``
+        (default: the HGrid at ``spec``) over the rows of ``days``/``slot`` when
+        given, binned ``_BLOCK_ROWS`` rows at a time into scratch of their key span."""
+        out = np.zeros(size)
+        for lo in range(0, self.day.size, _BLOCK_ROWS):
+            b = self.rows(slice(lo, lo + _BLOCK_ROWS))
+            if days is not None:
+                b = b.rows(np.isin(b.day, days))
+            if slot is not None:
+                b = b.rows(b.slot == slot)
+            h = hgrid_ids(b.x, b.y, spec)
+            k = h if key is None else key(b, h)
+            if k.size:
+                k0 = int(k.min())
+                c = np.bincount(k - k0, None if weights is None else getattr(b, weights))
+                out[k0:k0 + c.size] += c
+        return out

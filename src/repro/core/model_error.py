@@ -1,24 +1,23 @@
 """Model error: total E_m ~ n * MAE(f) (paper §III-C, Eq. 20).
 
-The per-MGrid demand series is a Spark aggregation
-(``groupBy(day, slot, mgrid).count()``) densified into a driver-side numpy
-tensor ``(days, slots, n)`` — driver-sized by design (n <= a few thousand
-MGrids x ~1.6k slots). Eq. 20 shows ``sum_ij E_m(i,j) = sum_i
-E|lambda_hat_i - lambda_i| ~ n * MAE(f)``; we estimate the right-hand side
-directly as the summed per-MGrid absolute error averaged over validation
-days.
+The per-MGrid demand series is a ``(days, slots, n)`` tensor binned from the
+city's event table (:func:`demand_tensor`; Spark oracle :func:`demand_counts`)
+— driver-sized by design (n <= a few thousand MGrids x ~1.6k slots). Eq. 20
+shows ``sum_ij E_m(i,j) = sum_i E|lambda_hat_i - lambda_i| ~ n * MAE(f)``;
+we estimate the right-hand side directly as the summed per-MGrid absolute
+error averaged over validation days.
 """
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.grids import GridSpec, with_grid_ids
+from repro.core.grids import EventTable, GridSpec, mgrid_of_hgrid, with_grid_ids
 from repro.models.base import Predictor
 
 
 def demand_counts(events: DataFrame, spec: GridSpec) -> DataFrame:
-    """Event counts per (day, slot, mgrid) — the series-building aggregation."""
+    """Event counts per (day, slot, mgrid) in Spark — the test oracle of
+    :func:`demand_tensor`."""
     return (
         with_grid_ids(events, spec)
         .groupBy("day", "slot", "mgrid")
@@ -27,17 +26,14 @@ def demand_counts(events: DataFrame, spec: GridSpec) -> DataFrame:
 
 
 def demand_tensor(
-    events: DataFrame, spec: GridSpec, *, days: int, slots: int
+    events: EventTable, spec: GridSpec, *, days: int, slots: int
 ) -> np.ndarray:
     """Dense ``(days, slots, n)`` count tensor (missing combinations are 0)."""
-    pdf = demand_counts(events, spec).toPandas()
-    t = np.zeros((days, slots, spec.n))
-    t[
-        pdf["day"].to_numpy(int),
-        pdf["slot"].to_numpy(int),
-        pdf["mgrid"].to_numpy(int),
-    ] = pdf["cnt"].to_numpy(float)
-    return t
+    mg = mgrid_of_hgrid(spec)
+    t = events.bincount(
+        spec, days * slots * spec.n, lambda b, h: (b.day * slots + b.slot) * spec.n + mg[h]
+    )
+    return t.reshape(days, slots, spec.n)
 
 
 def predictions_for(
@@ -63,24 +59,3 @@ def mae(tensor: np.ndarray, model: Predictor, *, eval_days: list[int], slot: int
     preds = predictions_for(tensor, model, eval_days, slot)
     actual = tensor[eval_days, slot, :]
     return float(np.abs(preds - actual).mean())
-
-
-def hgrid_counts_for_days(
-    spark: SparkSession,
-    events: DataFrame,
-    spec: GridSpec,
-    *,
-    slot: int,
-    days: list[int],
-) -> pd.DataFrame:
-    """Actual per-HGrid counts for each of ``days`` at ``slot`` — used to
-    *measure* real error (Def. 3) against a model's spread-out predictions.
-    Returns a pandas frame (day, hgrid, mgrid, cnt) with zero rows omitted;
-    callers reconstruct zeros from the lattice."""
-    return (
-        with_grid_ids(events, spec)
-        .where((F.col("slot") == slot) & F.col("day").isin([int(d) for d in days]))
-        .groupBy("day", "hgrid", "mgrid")
-        .agg(F.count(F.lit(1)).alias("cnt"))
-        .toPandas()
-    )

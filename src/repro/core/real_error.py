@@ -4,21 +4,30 @@
 ``lambda_hat_ij = lambda_hat_i / m`` (the MGrid prediction spread uniformly
 over its HGrids). We estimate the expectation over held-out days, exactly
 as the paper estimates it over "the same time period on each day of the
-previous one month". Zero-count HGrids are handled in closed form instead
-of materialising the full lattice per day: a day's HGrids of MGrid i that
-saw no event each contribute |lambda_hat_i/m - 0|.
+previous one month". The actual per-HGrid counts of those days are binned
+from the city's event table into a dense ``(days, fine_side^2)`` lattice,
+so HGrids that saw no event are counted like any other.
 """
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.grids import GridSpec
-from repro.core.model_error import hgrid_counts_for_days, predictions_for
+from repro.core.grids import EventTable, GridSpec, mgrid_of_hgrid
+from repro.core.model_error import predictions_for
 from repro.models.base import Predictor
 
 
+def hgrid_counts(events: EventTable, spec: GridSpec, *, slot: int, days: list[int]) -> np.ndarray:
+    """Actual ``(len(days), fine_side^2)`` HGrid counts of ``slot`` on each of ``days``."""
+    cells = spec.fine_side**2
+    pos = np.zeros(max(days) + 1, dtype=np.int64)
+    pos[days] = np.arange(len(days))
+    out = events.bincount(
+        spec, len(days) * cells, lambda b, h: pos[b.day] * cells + h, days=days, slot=slot
+    )
+    return out.reshape(len(days), cells)
+
+
 def measured_real_error(
-    spark: SparkSession,
-    events: DataFrame,
+    events: EventTable,
     spec: GridSpec,
     tensor: np.ndarray,
     model: Predictor,
@@ -28,42 +37,18 @@ def measured_real_error(
 ) -> float:
     """``sum_ij E_r(i,j)`` estimated over ``eval_days`` for one slot."""
     preds = predictions_for(tensor, model, eval_days, slot)  # (k, n)
-    counts = hgrid_counts_for_days(spark, events, spec, slot=slot, days=eval_days)
-    day_pos = {d: k for k, d in enumerate(eval_days)}
-    per_h = preds / spec.m  # lambda_hat_ij per (day, mgrid)
-    # start from the all-zero-HGrid total: sum_i m * (pred_i/m) = sum_i pred_i
-    total = float(preds.sum())
-    if len(counts):
-        k = counts["day"].map(day_pos).to_numpy(int)
-        mg = counts["mgrid"].to_numpy(int)
-        c = counts["cnt"].to_numpy(float)
-        ph = per_h[k, mg]
-        total += float((np.abs(ph - c) - ph).sum())
-    return total / len(eval_days)
+    lam_hat = preds[:, mgrid_of_hgrid(spec)] / spec.m  # lambda_hat_ij per (day, hgrid)
+    counts = hgrid_counts(events, spec, slot=slot, days=eval_days)
+    return float(np.abs(lam_hat - counts).sum()) / len(eval_days)
 
 
 def measured_expression_error(
-    spark: SparkSession,
-    events: DataFrame,
-    spec: GridSpec,
-    *,
-    slot: int,
-    eval_days: list[int],
+    events: EventTable, spec: GridSpec, *, slot: int, eval_days: list[int]
 ) -> float:
     """Empirical ``sum_ij E|lambda_bar_ij - lambda_ij|`` where
     ``lambda_bar_ij = lambda_i(day)/m`` uses the day's *actual* MGrid total
     (Def. 5) — the sanity twin of the analytic Algorithm-2 value."""
-    counts = hgrid_counts_for_days(spark, events, spec, slot=slot, days=eval_days)
-    total = 0.0
-    for d in eval_days:
-        day = counts[counts["day"] == d]
-        lam_i = np.zeros(spec.n)
-        if len(day):
-            np.add.at(lam_i, day["mgrid"].to_numpy(int), day["cnt"].to_numpy(float))
-        bar = lam_i / spec.m
-        total += float(lam_i.sum())  # all-zero baseline: m * (lam_i/m) per MGrid
-        if len(day):
-            b = bar[day["mgrid"].to_numpy(int)]
-            c = day["cnt"].to_numpy(float)
-            total += float((np.abs(b - c) - b).sum())
-    return total / len(eval_days)
+    counts = hgrid_counts(events, spec, slot=slot, days=eval_days)
+    mg = mgrid_of_hgrid(spec)
+    lam = np.stack([np.bincount(mg, c, minlength=spec.n) for c in counts])  # (k, n)
+    return float(np.abs(lam[:, mg] / spec.m - counts).sum()) / len(eval_days)

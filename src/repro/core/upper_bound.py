@@ -4,24 +4,25 @@
 + total expression error (Algorithm 2 over every HGrid). Its two inputs
 per candidate n are count tables: the (days, slots, n) demand tensor and
 the (slots, fine_side^2) alpha table of
-:func:`repro.core.alpha.alpha_by_hgrid`. :class:`GridCounts` builds each
-with one Spark aggregation on first use and keeps it for the city
-(``CityData.counts``), so the evaluator, Table III/IV and the error curves
-share one cache. Per (n, slot) the evaluator trains the model fresh and
-runs the batched Algorithm-2 kernel locally over every HGrid of that
-slot's alpha row at once, matching the paper's cost anatomy where "the
-time cost of training the model is considerable when calculating
-e(sqrt(n))".
+:func:`repro.core.alpha.alpha_by_hgrid`. :class:`GridCounts` bins each with
+``np.bincount`` over the city's one collected event table on first use and
+keeps it for the city (``CityData.counts``), so the evaluator, Table III/IV
+and the error curves share one cache. Per (n, slot) the evaluator trains
+the model fresh and runs the batched Algorithm-2 kernel locally over every
+HGrid of that slot's alpha row at once, matching the paper's cost anatomy
+where "the time cost of training the model is considerable when
+calculating e(sqrt(n))".
 """
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.alpha import alpha_by_hgrid
 from repro.core.expression_error import total_expression_error_local
-from repro.core.grids import GridSpec, grid_spec
+from repro.core.grids import EventTable, GridSpec, grid_spec
 from repro.core.model_error import demand_tensor, total_model_error
 from repro.synth_data import CityConfig
 
@@ -42,8 +43,8 @@ class UpperBoundResult:
 
 @dataclass
 class GridCounts:
-    """One city's count tables per grid side: each built by one Spark
-    aggregation on first use, then shared read-only by every consumer."""
+    """One city's event table and its count tables per grid side: each made
+    on first use (the table by the one Spark collect), then shared read-only."""
 
     events: DataFrame
     cfg: CityConfig
@@ -54,13 +55,18 @@ class GridCounts:
     _tensors: dict = field(default_factory=dict, repr=False)
     _alpha_cache: dict = field(default_factory=dict, repr=False)
 
+    @cached_property
+    def table(self) -> EventTable:
+        """The events as driver-side columns — the one Spark collect."""
+        return EventTable.collect(self.events)
+
     def spec(self, n_side: int) -> GridSpec:
         return grid_spec(self.cfg, n_side, self.N_side)
 
     def tensor(self, n_side: int) -> np.ndarray:
         """(days, slots, n) demand tensor at side ``n_side``."""
         if n_side not in self._tensors:
-            t = demand_tensor(self.events, self.spec(n_side), days=self.days, slots=self.slots)
+            t = demand_tensor(self.table, self.spec(n_side), days=self.days, slots=self.slots)
             t.setflags(write=False)
             self._tensors[n_side] = t
         return self._tensors[n_side]
@@ -69,7 +75,7 @@ class GridCounts:
         """(slots, fine^2) training-weekday alphas and the HGrid->MGrid map."""
         if n_side not in self._alpha_cache:
             pair = alpha_by_hgrid(
-                self.events, self.spec(n_side), train_days=self.train_days, slots=self.slots
+                self.table, self.spec(n_side), train_days=self.train_days, slots=self.slots
             )
             for a in pair:
                 a.setflags(write=False)

@@ -4,35 +4,23 @@ LS dispatches with a queueing-theoretic objective of maximising total
 *revenue*; its positioning weight is therefore the predicted demand scaled
 by each region's expected fare, estimated from the training days' mean
 revenue per cell (smoothed toward the city mean so cold cells do not zero
-out).
+out), binned from the city's event table.
 """
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.core.grids import GridSpec, grid_spec, with_grid_ids
+from repro.core.grids import EventTable, GridSpec, grid_spec
 from repro.dispatch.simulator import spread_to_cells
 from repro.synth_data import CityConfig
 
 
 def mean_fare_by_cell(
-    events: DataFrame, cfg: CityConfig, *, P: int, train_days: list[int],
+    events: EventTable, cfg: CityConfig, *, P: int, train_days: list[int],
     smooth: float = 8.0,
 ) -> np.ndarray:
     """Per-P-cell expected fare from training history (shrunk to the mean)."""
     spec = grid_spec(cfg, P, P)
-    pdf = (
-        with_grid_ids(events.where(F.col("day").isin([int(d) for d in train_days])), spec)
-        .groupBy("hgrid")
-        .agg(F.sum("revenue").alias("rev"), F.count(F.lit(1)).alias("cnt"))
-        .toPandas()
-    )
-    fares = np.zeros(P * P)
-    counts = np.zeros(P * P)
-    if len(pdf):
-        fares[pdf["hgrid"].to_numpy(int)] = pdf["rev"].to_numpy(float)
-        counts[pdf["hgrid"].to_numpy(int)] = pdf["cnt"].to_numpy(float)
+    fares = events.bincount(spec, P * P, days=train_days, weights="revenue")
+    counts = events.bincount(spec, P * P, days=train_days)
     city_mean = fares.sum() / max(counts.sum(), 1.0)
     return (fares + smooth * city_mean) / (counts + smooth)
 

@@ -1,5 +1,6 @@
 """Slot-stepped order-dispatch simulator.
 
+The day's orders are read from the city's event table (:func:`day_orders`).
 World model (deliberately minimal, see DESIGN.md §4): the city is a
 ``P x P`` positioning lattice (fixed across candidate grid sizes n, so
 matching granularity never changes while the *prediction* granularity
@@ -24,10 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.core.grids import GridSpec, grid_spec, with_grid_ids
+from repro.core.grids import EventTable, GridSpec, grid_spec, hgrid_ids
 from repro.synth_data import CityConfig
 
 
@@ -41,31 +40,22 @@ class DispatchMetrics:
 
 
 def day_orders(
-    events: DataFrame, cfg: CityConfig, *, day: int, P: int
+    events: EventTable, cfg: CityConfig, *, day: int, P: int
 ) -> pd.DataFrame:
     """One day's orders on the P-lattice: (slot, cell, dest_cell, trip_km,
-    revenue), pulled through the same Catalyst cell-assignment used
-    everywhere else (a GridSpec with n_side = N_side = P has fine = P)."""
+    revenue, x, y, dest_x, dest_y), in the event table's collection order.
+    The order is pinned because :func:`simulate_day` sorts each slot by
+    revenue with a non-stable sort and then matches greedily: which of two
+    equal-revenue orders is served, and so Table III, depends on it."""
     spec = grid_spec(cfg, P, P)  # fine lattice == P-lattice
-    df = (
-        with_grid_ids(events.where(F.col("day") == day), spec)
-        .withColumnRenamed("hgrid", "cell")
-        .drop("fx", "fy", "mgrid")
-    )
-    df = (
-        with_grid_ids(df, spec, x="dest_x", y="dest_y")
-        .withColumnRenamed("hgrid", "dest_cell")
-        .withColumn(
-            "trip_km",
-            F.sqrt(
-                F.pow(F.col("dest_x") - F.col("x"), F.lit(2.0))
-                + F.pow(F.col("dest_y") - F.col("y"), F.lit(2.0))
-            ),
-        )
-    )
-    return df.select(
-        "slot", "cell", "dest_cell", "trip_km", "revenue", "x", "y", "dest_x", "dest_y"
-    ).toPandas()
+    ev = events.rows(events.day == day)
+    return pd.DataFrame({
+        "slot": ev.slot,
+        "cell": hgrid_ids(ev.x, ev.y, spec),
+        "dest_cell": hgrid_ids(ev.dest_x, ev.dest_y, spec),
+        "trip_km": np.sqrt((ev.dest_x - ev.x) ** 2 + (ev.dest_y - ev.y) ** 2),
+        "revenue": ev.revenue, "x": ev.x, "y": ev.y, "dest_x": ev.dest_x, "dest_y": ev.dest_y,
+    })
 
 
 def spread_to_cells(pred_mgrid: np.ndarray, spec: GridSpec, P: int) -> np.ndarray:

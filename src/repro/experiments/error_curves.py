@@ -6,7 +6,6 @@ total expression error (Algorithm 2), total model error (Eq. 20), their sum
 held-out days. Figures are out of scope; the trend assertions in
 ``tests/test_trends.py`` and the table harnesses consume these frames.
 """
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
@@ -43,7 +42,7 @@ def error_curves(
         alphas, mg = data.counts.alphas(s)
         ee = total_expression_error(alphas[slot], mg, spec.m, st.K)
         re = measured_real_error(
-            spark, data.events, spec, tensor, model, slot=slot, eval_days=st.val_days
+            data.counts.table, spec, tensor, model, slot=slot, eval_days=st.val_days
         )
         rows.append(
             {

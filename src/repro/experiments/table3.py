@@ -68,7 +68,7 @@ def case_study_run(
     """
     st = data.settings
     P = st.N_side if P is None else P
-    orders = day_orders(data.events, data.cfg, day=st.test_day, P=P)
+    orders = day_orders(data.counts.table, data.cfg, day=st.test_day, P=P)
     if oracle:
         preds, spec = data.counts.tensor(s)[st.test_day], data.counts.spec(s)  # actual counts
     else:
@@ -76,7 +76,7 @@ def case_study_run(
     n_drivers = max(50, int(0.02 * len(orders))) if n_drivers is None else n_drivers
     n_vehicles = max(30, int(0.008 * len(orders))) if n_vehicles is None else n_vehicles
     w_polar = polar_weights(preds, spec, P)
-    fares = mean_fare_by_cell(data.events, data.cfg, P=P, train_days=st.train_days)
+    fares = mean_fare_by_cell(data.counts.table, data.cfg, P=P, train_days=st.train_days)
     w_ls = ls_weights(preds, spec, P, fares)
     polar = simulate_day(orders, w_polar, P=P, n_drivers=n_drivers, slots=st.slots)
     ls = simulate_day(orders, w_ls, P=P, n_drivers=n_drivers, slots=st.slots)

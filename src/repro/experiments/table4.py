@@ -41,7 +41,7 @@ class _ORMeter:
 
     def __post_init__(self):
         st = self.data.settings
-        orders = day_orders(self.data.events, self.data.cfg, day=st.test_day, P=self.P)
+        orders = day_orders(self.data.counts.table, self.data.cfg, day=st.test_day, P=self.P)
         self._cells_by_slot = {
             int(s): g["cell"].to_numpy(int) for s, g in orders.groupby("slot")
         }

@@ -1,7 +1,7 @@
 """Predictor interface over the dense demand tensor.
 
 The demand tensor has shape ``(days, slots, n)``: event counts per MGrid
-per 30-minute slot, built by a Spark aggregation
+per 30-minute slot, binned from the city's event table
 (:func:`repro.core.model_error.demand_tensor`). A predictor sees only data
 strictly before the target ``(day, slot)`` when predicting it.
 """

@@ -20,7 +20,7 @@ class TestAlphaByHGrid:
     def alpha(self, nyc):
         spec = grid_spec(nyc.cfg, 4, 16)
         return spec, *alpha_by_hgrid(
-            nyc.events, spec, train_days=TESTS.train_days, slots=TESTS.slots
+            nyc.counts.table, spec, train_days=TESTS.train_days, slots=TESTS.slots
         )
 
     def test_lattice_complete(self, alpha):
@@ -81,6 +81,10 @@ class TestAlphaByHGrid:
     def test_rejects_empty_train_days(self, nyc):
         with pytest.raises(ValueError, match="train_days"):
             alpha_counts(nyc.events, grid_spec(nyc.cfg, 4, 16), train_days=[])
+        with pytest.raises(ValueError, match="train_days"):
+            alpha_by_hgrid(
+                nyc.counts.table, grid_spec(nyc.cfg, 4, 16), train_days=[], slots=TESTS.slots
+            )
 
 
 class TestDAlpha:
@@ -106,7 +110,7 @@ class TestDAlpha:
         ds = []
         for s in (2, 4, 8, 16):
             alphas, _ = alpha_by_hgrid(
-                nyc.events, grid_spec(nyc.cfg, s, s),
+                nyc.counts.table, grid_spec(nyc.cfg, s, s),
                 train_days=TESTS.train_days, slots=TESTS.slots,
             )
             ds.append(d_alpha(alphas[TESTS.default_slot]))
@@ -116,7 +120,7 @@ class TestDAlpha:
 
 def test_select_N_returns_candidate(xian):
     sel = select_N(
-        xian.events, xian.cfg, slot=TESTS.default_slot,
+        xian.counts.table, xian.cfg, slot=TESTS.default_slot,
         train_days=TESTS.train_days, candidates=[4, 8, 16],
     )
     assert sel.chosen_N_side in sel.candidates

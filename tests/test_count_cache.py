@@ -1,15 +1,19 @@
 """The city's count cache is the only place count tables are built.
 
 Each test runs on a fresh ``CityData`` over the session's cached events (so
-no other test has filled its cache) and counts the Spark aggregations behind
-the demand tensor and the alpha table, by grid side, at every module that
-imports the aggregation functions by name.
+no other test has filled its cache). The first three count the binnings
+behind the demand tensor and the alpha table, by grid side, at every module
+that imports the binning functions by name; the last counts Spark jobs.
 """
+import time
+
 import pytest
 
 from repro.core import upper_bound
+from repro.core.grids import EventTable
 from repro.experiments import error_curves, table3, table4
 from repro.experiments.config import TESTS, CityData
+from repro.experiments.error_curves import error_curves as run_error_curves
 from repro.experiments.table3 import case_study_run, run_table3
 from repro.experiments.table4 import run_table4
 
@@ -17,11 +21,12 @@ from repro.experiments.table4 import run_table4
 @pytest.fixture
 def aggregations(monkeypatch):
     """``{"tensor": [side, ...], "alpha": [side, ...]}``, one entry per
-    aggregation run."""
+    binning run over the city's event table."""
     sides = {"tensor": [], "alpha": []}
 
     def counted(kind, fn):
         def wrapper(events, spec, **kwargs):
+            assert isinstance(events, EventTable)
             sides[kind].append(spec.n_side)
             return fn(events, spec, **kwargs)
 
@@ -59,3 +64,38 @@ def test_oracle_run_builds_no_second_tensor(spark, nyc, aggregations):
     assert aggregations["tensor"] == [8]
     case_study_run(spark, data, 8)
     assert aggregations["tensor"] == [8]
+
+
+def _jobs_in_group(spark, group: str, fn) -> int:
+    """Spark jobs ``fn()`` runs, counted through a job group. The status
+    store is fed asynchronously, so poll until two readings agree."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    tracker, last = sc.statusTracker(), None
+    for _ in range(20):
+        jobs = len(tracker.getJobIdsForGroup(group))
+        if jobs == last:
+            break
+        last = jobs
+        time.sleep(0.25)
+    return last
+
+
+def test_replay_issues_only_the_collect(spark, nyc):
+    """Table III's case study plus an error-curve point on a fresh city run
+    the Spark jobs of the one event-table collect and nothing else; run
+    again, they run none."""
+    collect = _jobs_in_group(spark, "count-cache-collect", lambda: EventTable.collect(nyc.events))
+    data = _fresh(nyc)
+
+    def replay():
+        case_study_run(spark, data, 8)
+        run_error_curves(spark, data, n_sides=[4])
+
+    assert collect >= 1
+    assert _jobs_in_group(spark, "count-cache-first", replay) == collect
+    assert _jobs_in_group(spark, "count-cache-second", replay) == 0

@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.grids import grid_spec
+from repro.core.grids import grid_spec, with_grid_ids
 from repro.dispatch.ls import ls_weights, mean_fare_by_cell
 from repro.dispatch.polar import polar_weights
 from repro.dispatch.simulator import (
@@ -65,10 +65,42 @@ class TestSpreadToCells:
             spread_to_cells(np.ones(5), grid_spec(NYC, 2, 16), 8)
 
 
+def _spark_day_orders(events, cfg, *, day, P):
+    """The Spark query ``day_orders`` replaced, kept as its oracle."""
+    spec = grid_spec(cfg, P, P)
+    df = (
+        with_grid_ids(events.where(F.col("day") == day), spec)
+        .withColumnRenamed("hgrid", "cell")
+        .drop("fx", "fy", "mgrid")
+    )
+    df = (
+        with_grid_ids(df, spec, x="dest_x", y="dest_y")
+        .withColumnRenamed("hgrid", "dest_cell")
+        .withColumn(
+            "trip_km",
+            F.sqrt(
+                F.pow(F.col("dest_x") - F.col("x"), F.lit(2.0))
+                + F.pow(F.col("dest_y") - F.col("y"), F.lit(2.0))
+            ),
+        )
+    )
+    return df.select(
+        "slot", "cell", "dest_cell", "trip_km", "revenue", "x", "y", "dest_x", "dest_y"
+    ).toPandas()
+
+
 class TestDayOrders:
     @pytest.fixture(scope="class")
     def orders(self, nyc):
-        return day_orders(nyc.events, nyc.cfg, day=TESTS.test_day, P=16)
+        return day_orders(nyc.counts.table, nyc.cfg, day=TESTS.test_day, P=16)
+
+    @pytest.mark.parametrize("P", [16, 7])
+    def test_equals_spark_row_for_row(self, nyc, P):
+        """Same rows in the same order, every column exact: simulate_day's
+        revenue sort is not stable, so the row order decides Table III."""
+        got = day_orders(nyc.counts.table, nyc.cfg, day=TESTS.test_day, P=P)
+        want = _spark_day_orders(nyc.events, nyc.cfg, day=TESTS.test_day, P=P)
+        pd.testing.assert_frame_equal(got, want, check_exact=True)
 
     def test_row_count(self, nyc, orders):
         assert len(orders) == nyc.events.where(F.col("day") == TESTS.test_day).count()
@@ -154,20 +186,20 @@ class TestSimulateDay:
         assert m.served == 1
 
     def test_served_never_exceeds_arrived(self, nyc):
-        orders = day_orders(nyc.events, nyc.cfg, day=TESTS.test_day, P=16)
+        orders = day_orders(nyc.counts.table, nyc.cfg, day=TESTS.test_day, P=16)
         w = np.ones((TESTS.slots, 256))
         m = simulate_day(orders, w, P=16, n_drivers=100, slots=TESTS.slots)
         assert 0 < m.served <= m.arrived == len(orders)
 
     def test_deterministic(self, nyc):
-        orders = day_orders(nyc.events, nyc.cfg, day=TESTS.test_day, P=16)
+        orders = day_orders(nyc.counts.table, nyc.cfg, day=TESTS.test_day, P=16)
         w = np.ones((TESTS.slots, 256))
         m1 = simulate_day(orders, w, P=16, n_drivers=80, slots=TESTS.slots)
         m2 = simulate_day(orders, w, P=16, n_drivers=80, slots=TESTS.slots)
         assert m1 == m2
 
     def test_more_drivers_serve_no_fewer(self, nyc):
-        orders = day_orders(nyc.events, nyc.cfg, day=TESTS.test_day, P=16)
+        orders = day_orders(nyc.counts.table, nyc.cfg, day=TESTS.test_day, P=16)
         w = np.ones((TESTS.slots, 256))
         lo = simulate_day(orders, w, P=16, n_drivers=40, slots=TESTS.slots)
         hi = simulate_day(orders, w, P=16, n_drivers=400, slots=TESTS.slots)
@@ -189,9 +221,24 @@ class TestPolicies:
         w = ls_weights(preds, spec, 16, fares)
         assert w[0, 7] == w[0].max()
 
+    def test_mean_fare_matches_spark_groupby(self, nyc):
+        spec = grid_spec(nyc.cfg, 16, 16)
+        pdf = (
+            with_grid_ids(nyc.events.where(F.col("day").isin(TESTS.train_days)), spec)
+            .groupBy("hgrid")
+            .agg(F.sum("revenue").alias("rev"), F.count(F.lit(1)).alias("cnt"))
+            .toPandas()
+        )
+        rev, cnt = np.zeros(256), np.zeros(256)
+        rev[pdf["hgrid"]] = pdf["rev"]
+        cnt[pdf["hgrid"]] = pdf["cnt"]
+        want = (rev + 8.0 * rev.sum() / cnt.sum()) / (cnt + 8.0)
+        got = mean_fare_by_cell(nyc.counts.table, nyc.cfg, P=16, train_days=TESTS.train_days)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
     def test_mean_fare_positive_everywhere(self, nyc):
         fares = mean_fare_by_cell(
-            nyc.events, nyc.cfg, P=16, train_days=TESTS.train_days
+            nyc.counts.table, nyc.cfg, P=16, train_days=TESTS.train_days
         )
         assert fares.shape == (256,)
         assert (fares > 0).all()  # shrinkage keeps cold cells at city mean

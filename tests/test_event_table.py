@@ -1,0 +1,119 @@
+"""The driver-side event table and the count tables binned from it.
+
+Every count table is a numpy bincount over one collected
+:class:`EventTable` per city; the Spark aggregations ``demand_counts`` /
+``alpha_counts`` and the Catalyst projection ``with_grid_ids`` are the
+oracles these tests hold it to, exactly.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.core import grids
+from repro.core.alpha import alpha_by_hgrid, alpha_counts
+from repro.core.grids import EventTable, grid_spec, hgrid_ids, with_grid_ids
+from repro.core.model_error import demand_counts, demand_tensor
+from repro.core.upper_bound import GridCounts
+from repro.experiments.config import TESTS
+from repro.synth_data import NYC
+
+
+def _dense_tensor(events, spec, st) -> np.ndarray:
+    pdf = demand_counts(events, spec).toPandas()
+    t = np.zeros((st.days, st.slots, spec.n))
+    t[pdf["day"].to_numpy(int), pdf["slot"].to_numpy(int), pdf["mgrid"].to_numpy(int)] = (
+        pdf["cnt"].to_numpy(float)
+    )
+    return t
+
+
+def _dense_alphas(events, spec, st) -> np.ndarray:
+    pdf = alpha_counts(events, spec, train_days=st.train_days).toPandas()
+    a = np.zeros((st.slots, spec.fine_side**2))
+    a[pdf["slot"].to_numpy(int), pdf["hgrid"].to_numpy(int)] = (
+        pdf["cnt"].to_numpy(float) / len(st.train_days)
+    )
+    return a
+
+
+def test_collect_keeps_spark_row_order(nyc, nyc_pdf):
+    table = nyc.counts.table
+    for name in ("day", "slot", "x", "y", "dest_x", "dest_y", "revenue"):
+        np.testing.assert_array_equal(getattr(table, name), nyc_pdf[name].to_numpy())
+
+
+@pytest.mark.parametrize("n_side", [1, 4, 7, 10])
+def test_hgrid_ids_match_catalyst_row_for_row(nyc, n_side):
+    spec = grid_spec(nyc.cfg, n_side, 16)
+    want = with_grid_ids(nyc.events, spec).select("hgrid").toPandas()["hgrid"].to_numpy()
+    table = nyc.counts.table
+    np.testing.assert_array_equal(hgrid_ids(table.x, table.y, spec), want)
+
+
+@pytest.mark.parametrize("n_side", range(TESTS.s_min, TESTS.s_max + 1))
+def test_count_tables_equal_spark_at_every_swept_side(nyc, n_side):
+    spec = nyc.counts.spec(n_side)
+    np.testing.assert_array_equal(nyc.counts.tensor(n_side), _dense_tensor(nyc.events, spec, TESTS))
+    alphas, mg = nyc.counts.alphas(n_side)
+    np.testing.assert_array_equal(alphas, _dense_alphas(nyc.events, spec, TESTS))
+    np.testing.assert_array_equal(mg, grids.mgrid_of_hgrid(spec))
+
+
+@pytest.mark.parametrize("n_side", [4, 16, 32, 76])
+def test_count_tables_equal_spark_on_paper_lattice(nyc, n_side):
+    """The paper's N = 128^2 lattice (fine_side up to 152) on the TESTS events."""
+    st = TESTS
+    counts = GridCounts(nyc.events, nyc.cfg, 128, st.days, st.slots, st.train_days)
+    spec = counts.spec(n_side)
+    np.testing.assert_array_equal(counts.tensor(n_side), _dense_tensor(nyc.events, spec, st))
+    np.testing.assert_array_equal(counts.alphas(n_side)[0], _dense_alphas(nyc.events, spec, st))
+
+
+def _synthetic(rows: int, seed: int = 0) -> EventTable:
+    """``rows`` events in random order (the worst case for the key span)."""
+    rng = np.random.default_rng(seed)
+    xy = rng.random((4, rows)) * np.array([[NYC.width_km], [NYC.height_km]] * 2)
+    return EventTable(
+        day=rng.integers(0, TESTS.days, rows, dtype=np.int32),
+        slot=rng.integers(0, TESTS.slots, rows, dtype=np.int32),
+        x=xy[0], y=xy[1], dest_x=xy[2], dest_y=xy[3],
+        revenue=rng.random(rows) * 30.0,
+    )
+
+
+def _bin_peak(table: EventTable, spec) -> int:
+    tracemalloc.start()
+    try:
+        demand_tensor(table, spec, days=TESTS.days, slots=TESTS.slots)
+        alpha_by_hgrid(table, spec, train_days=TESTS.train_days, slots=TESTS.slots)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_binning_scratch_does_not_grow_with_events():
+    """4x the events (two blocks -> eight) must not raise the binning peak:
+    an unblocked pass over 2^20 rows would take ~80 MB of temporaries."""
+    spec = grid_spec(NYC, 4, 16)
+    small, large = _synthetic(2 * grids._BLOCK_ROWS), _synthetic(8 * grids._BLOCK_ROWS)
+    small_peak, large_peak = _bin_peak(small, spec), _bin_peak(large, spec)
+    assert large_peak <= small_peak + 2**20
+    assert large_peak < 32 * 2**20
+
+
+def test_blocked_binning_equals_one_shot():
+    table = _synthetic(3 * grids._BLOCK_ROWS + 17, seed=1)
+    spec = grid_spec(NYC, 3, 16)
+    mg = grids.mgrid_of_hgrid(spec)[hgrid_ids(table.x, table.y, spec)]
+    flat = (table.day.astype(np.int64) * TESTS.slots + table.slot) * spec.n + mg
+    want = np.bincount(flat, minlength=TESTS.days * TESTS.slots * spec.n)
+    got = demand_tensor(table, spec, days=TESTS.days, slots=TESTS.slots)
+    np.testing.assert_array_equal(got.ravel(), want.astype(float))
+    cells = spec.fine_side**2
+    keep = np.isin(table.day, TESTS.train_days)
+    rev = np.bincount(hgrid_ids(table.x, table.y, spec)[keep], table.revenue[keep], cells)
+    got_rev = table.bincount(spec, cells, days=TESTS.train_days, weights="revenue")
+    np.testing.assert_allclose(got_rev, rev, rtol=1e-12)
+    assert got_rev.sum() > 0

@@ -202,7 +202,7 @@ class TestLocalDriver:
         """On real alphas, the total is the per-MGrid fast kernel summed."""
         spec = grid_spec(nyc.cfg, 4, 16)
         alphas, mg = alpha_by_hgrid(
-            nyc.events, spec, train_days=TESTS.train_days, slots=TESTS.slots
+            nyc.counts.table, spec, train_days=TESTS.train_days, slots=TESTS.slots
         )
         row = alphas[TESTS.default_slot]
         per = pd.Series(row).groupby(mg).apply(

@@ -6,7 +6,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro import synth_data as sd
-from repro.core.grids import grid_spec, mgrid_of_hgrid, with_grid_ids
+from repro.core.grids import grid_spec, hgrid_ids, mgrid_of_hgrid, with_grid_ids
 from repro.oracle import assert_equivalent
 
 
@@ -111,6 +111,9 @@ class TestWithGridIds:
         rows = with_grid_ids(df, spec).select("fx", "fy").collect()
         assert (rows[0]["fx"], rows[0]["fy"]) == (spec.fine_side - 1, spec.fine_side - 1)
         assert (rows[1]["fx"], rows[1]["fy"]) == (0, 0)
+        # the numpy twin clamps the same way
+        x, y = np.array([cfg.width_km, 0.0]), np.array([cfg.height_km, 0.0])
+        np.testing.assert_array_equal(hgrid_ids(x, y, spec), [spec.fine_side**2 - 1, 0])
 
 
 @pytest.mark.parametrize("n_side", [1, 3, 4, 7, 16])

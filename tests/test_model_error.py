@@ -4,13 +4,8 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.grids import grid_spec, with_grid_ids
-from repro.core.model_error import (
-    demand_counts,
-    demand_tensor,
-    hgrid_counts_for_days,
-    mae,
-    total_model_error,
-)
+from repro.core.model_error import demand_counts, demand_tensor, mae, total_model_error
+from repro.core.real_error import hgrid_counts
 from repro.experiments.config import TESTS
 from repro.models import DeepSTLike
 from repro.oracle import assert_equivalent
@@ -49,19 +44,19 @@ class TestDemandCounts:
 class TestDemandTensor:
     def test_shape_and_mass(self, nyc):
         spec = grid_spec(nyc.cfg, 4, 16)
-        t = demand_tensor(nyc.events, spec, days=TESTS.days, slots=TESTS.slots)
+        t = demand_tensor(nyc.counts.table, spec, days=TESTS.days, slots=TESTS.slots)
         assert t.shape == (TESTS.days, TESTS.slots, spec.n)
         assert t.sum() == nyc.events.count()
 
     def test_zero_fill(self, nyc):
         spec = grid_spec(nyc.cfg, 8, 16)
-        t = demand_tensor(nyc.events, spec, days=TESTS.days, slots=TESTS.slots)
+        t = demand_tensor(nyc.counts.table, spec, days=TESTS.days, slots=TESTS.slots)
         assert (t >= 0).all()
         assert (t[:, 0:4, :] == 0).any()  # quiet night slots have empty grids
 
     def test_matches_direct_count(self, nyc):
         spec = grid_spec(nyc.cfg, 2, 16)
-        t = demand_tensor(nyc.events, spec, days=TESTS.days, slots=TESTS.slots)
+        t = demand_tensor(nyc.counts.table, spec, days=TESTS.days, slots=TESTS.slots)
         cnt = (
             with_grid_ids(nyc.events, spec)
             .where((F.col("day") == 5) & (F.col("slot") == 17) & (F.col("mgrid") == 1))
@@ -75,7 +70,7 @@ class TestEq20:
 
     def test_identity_with_mae(self, nyc):
         spec = grid_spec(nyc.cfg, 4, 16)
-        t = demand_tensor(nyc.events, spec, days=TESTS.days, slots=TESTS.slots)
+        t = demand_tensor(nyc.counts.table, spec, days=TESTS.days, slots=TESTS.slots)
         model = DeepSTLike().fit(t, TESTS.train_days)
         tme = total_model_error(t, model, eval_days=TESTS.val_days, slot=17)
         m = mae(t, model, eval_days=TESTS.val_days, slot=17)
@@ -108,14 +103,18 @@ class TestEq20:
         assert total_model_error(t, OffBy(), eval_days=[1], slot=0) == pytest.approx(3.0)
 
 
-def test_hgrid_counts_for_days(nyc, spark):
+def test_hgrid_counts_for_days(nyc):
+    """The per-HGrid validation-day counts behind the measured errors: one
+    dense row per day, each row the Spark count of that day's events."""
     spec = grid_spec(nyc.cfg, 4, 16)
-    pdf = hgrid_counts_for_days(
-        spark, nyc.events, spec, slot=TESTS.default_slot, days=TESTS.val_days
+    counts = hgrid_counts(
+        nyc.counts.table, spec, slot=TESTS.default_slot, days=TESTS.val_days
     )
-    assert set(pdf.columns) == {"day", "hgrid", "mgrid", "cnt"}
-    assert set(pdf["day"]).issubset(set(TESTS.val_days))
+    assert counts.shape == (len(TESTS.val_days), spec.fine_side**2)
+    for row, d in zip(counts, TESTS.val_days):
+        day = nyc.events.where((F.col("slot") == TESTS.default_slot) & (F.col("day") == d))
+        assert row.sum() == day.count()
     total = nyc.events.where(
         (F.col("slot") == TESTS.default_slot) & F.col("day").isin(TESTS.val_days)
     ).count()
-    assert pdf["cnt"].sum() == total
+    assert counts.sum() == total

@@ -107,7 +107,7 @@ class TestAccuracyOrdering:
     @pytest.fixture(scope="class")
     def maes(self, nyc):
         spec = grid_spec(nyc.cfg, 4, 16)
-        tensor = demand_tensor(nyc.events, spec, days=TESTS.days, slots=TESTS.slots)
+        tensor = demand_tensor(nyc.counts.table, spec, days=TESTS.days, slots=TESTS.slots)
         out = {}
         for name in ("mlp", "deepst", "dmvst"):
             model = MODELS[name]().fit(tensor, TESTS.train_days)

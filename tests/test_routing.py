@@ -95,7 +95,7 @@ class TestRunDaifDay:
         assert m.served == 0
 
     def test_runs_on_real_city_day(self, nyc):
-        orders = day_orders(nyc.events, nyc.cfg, day=TESTS.test_day, P=16)
+        orders = day_orders(nyc.counts.table, nyc.cfg, day=TESTS.test_day, P=16)
         w = np.ones((TESTS.slots, 256))
         m = run_daif_day(
             orders, w, P=16, width_km=nyc.cfg.width_km,
