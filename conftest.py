@@ -1,6 +1,5 @@
-"""Root pytest configuration: the one SparkSession of a ``tests/`` or
-``benchmarks/`` run, built by the session rule the jobs use
-(``jobs/_session.py``)."""
+"""Root pytest configuration: the one SparkSession of a ``tests/`` run,
+built by the session rule the jobs use (``jobs/_session.py``)."""
 import sys
 
 import pytest

@@ -1,9 +1,9 @@
-"""The one Spark session rule, shared by jobs, tests and benchmarks.
+"""The one Spark session rule, shared by jobs and tests.
 
 The spark-submit entrypoints in ``jobs/`` call :func:`get_spark`, and so
-does the ``spark`` fixture of the root ``conftest.py`` that ``tests/`` and
-``benchmarks/`` use: every caller gets the same master, driver heap and SQL
-confs. (``perfbench/run.py`` keeps its own copy of these settings.)
+does the ``spark`` fixture of the root ``conftest.py`` that ``tests/``
+uses: every caller gets the same master, driver heap and SQL confs.
+(``perfbench/run.py`` keeps its own copy of these settings.)
 """
 import os
 
@@ -28,13 +28,15 @@ def get_spark(app: str) -> SparkSession:
     Master and driver heap are read by the JVM only when it starts, so they
     go in ``PYSPARK_SUBMIT_ARGS`` (an explicit value in the environment
     wins). Broadcast joins are off so every caller runs the same shuffle
-    plans.
+    plans. The UI and its console progress bars are off, so the tables the
+    jobs print are not interleaved with ``[Stage N:>`` lines.
     """
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
         f"--driver-memory {driver_mem()} "
-        "--conf spark.driver.host=127.0.0.1 --conf spark.ui.enabled=false pyspark-shell",
+        "--conf spark.driver.host=127.0.0.1 --conf spark.ui.enabled=false "
+        "--conf spark.ui.showConsoleProgress=false pyspark-shell",
     )
     s = (
         SparkSession.builder.appName(app)

@@ -4,13 +4,14 @@
 """
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from _session import get_spark  # noqa: E402
 from repro.core.search import brute_force, iterative_method, ternary_search  # noqa: E402
 from repro.core.upper_bound import UpperBoundEvaluator  # noqa: E402
-from repro.experiments.config import BENCH, TESTS, load_city  # noqa: E402
+from repro.experiments.config import BENCH, ITERATIVE_B, TESTS, load_city  # noqa: E402
 from repro.models import MODELS  # noqa: E402
 
 
@@ -31,7 +32,7 @@ def main() -> None:
     if args.algo == "ternary":
         res = ternary_search(fn, st.s_min, st.s_max)
     elif args.algo == "iterative":
-        res = iterative_method(fn, st.s_min, st.s_max, p=st.s_default, b=3)
+        res = iterative_method(fn, st.s_min, st.s_max, p=st.s_default, b=ITERATIVE_B)
     else:
         res = brute_force(fn, st.s_min, st.s_max)
     print(f"city={args.city} slot={slot} algo={args.algo}")

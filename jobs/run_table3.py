@@ -1,16 +1,27 @@
 """spark-submit entrypoint: Table III (promotion of prediction-based
-algorithms by tuning the grid size).
+algorithms by tuning the grid size). Writes ``results/table3_<city>.csv``
+and exits non-zero if the table does not have the paper's shape.
 
     python jobs/run_table3.py [--city nyc] [--model deepst] [--scale bench]
 """
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from _session import get_spark  # noqa: E402
 from repro.experiments.config import BENCH, TESTS, load_city  # noqa: E402
 from repro.experiments.table3 import run_table3  # noqa: E402
+
+
+def shape_failures(df) -> list[str]:
+    failures = [] if len(df) == 6 else [f"Table III has {len(df)} rows, not 6"]
+    polar = df[df["algorithm"] == "POLAR"]
+    if not (polar["improve_ratio"] > 0).all():
+        failures.append("POLAR must gain from tuning")
+    return failures
 
 
 def main() -> None:
@@ -24,8 +35,11 @@ def main() -> None:
     spark = get_spark("table3")
     data = load_city(spark, args.city, st)
     df = run_table3(spark, data, model_name=args.model, optimal_s=args.optimal_s)
-    print(df.to_string(index=False))
     spark.stop()
+    df.to_csv(ROOT / "results" / f"table3_{args.city}.csv", index=False)
+    print(df.to_string(index=False))
+    if failures := shape_failures(df):
+        sys.exit("\n".join(failures))
 
 
 if __name__ == "__main__":

@@ -1,18 +1,35 @@
 """spark-submit entrypoint: Table IV (search-algorithm cost / probability /
-optimal ratio per city).
+optimal ratio per city). Writes ``results/table4_<city>.csv``, prints each
+city's whole-table wall seconds (count fill included) and exits non-zero if
+a table does not have the paper's shape. The committed tables use
+``--slots-stride 4``; the paper's is 1.
 
     python jobs/run_table4.py [--cities nyc chengdu xian] [--slots-stride 1]
 """
 import argparse
 import sys
+import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
-
-import pandas as pd  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from _session import get_spark  # noqa: E402
 from repro.experiments.config import BENCH, TESTS, load_city  # noqa: E402
 from repro.experiments.table4 import run_table4  # noqa: E402
+
+
+def shape_failures(df) -> list[str]:
+    by = df.set_index("algorithm")
+    city = df["city"].iloc[0]
+    failures = []
+    if by.loc["Brute-force Search", "probability"] != 1.0:
+        failures.append(f"{city}: brute force must find the optimum in every slot")
+    brute_calls = by.loc["Brute-force Search", "bound_calls"]
+    for algo in ("Ternary Search", "Iterative Method"):
+        if not by.loc[algo, "bound_calls"] < brute_calls:
+            failures.append(f"{city}: {algo} must make fewer bound calls than brute force")
+    return failures
 
 
 def main() -> None:
@@ -26,15 +43,22 @@ def main() -> None:
     )
     args = ap.parse_args()
     st = BENCH if args.scale == "bench" else TESTS
+    slots = list(range(0, st.slots, args.slots_stride))
     spark = get_spark("table4")
-    frames = []
+    failures = []
     for city in args.cities:
         data = load_city(spark, city, st)
-        slots = list(range(0, st.slots, args.slots_stride))
-        frames.append(run_table4(spark, data, model_name=args.model, slots=slots))
+        t0 = time.perf_counter()
+        df = run_table4(spark, data, model_name=args.model, slots=slots)
+        wall = time.perf_counter() - t0
         data.events.unpersist()
-    print(pd.concat(frames, ignore_index=True).to_string(index=False))
+        df.to_csv(ROOT / "results" / f"table4_{city}.csv", index=False)
+        print(f"\n=== Table IV ({city}, {len(slots)} slots): {wall:.1f} s, count fill included ===")
+        print(df.to_string(index=False))
+        failures += shape_failures(df)
     spark.stop()
+    if failures:
+        sys.exit("\n".join(failures))
 
 
 if __name__ == "__main__":

@@ -60,6 +60,10 @@ class Settings:
 TESTS = Settings(sf=0.01, N_side=16)
 BENCH = Settings(sf=0.1, N_side=32)
 
+#: Iterative Method (Alg. 5) search boundary b. Every committed result was
+#: found with b = 3; the paper's is 4.
+ITERATIVE_B = 3
+
 
 @dataclass
 class CityData:

@@ -19,7 +19,7 @@ from repro.core.upper_bound import UpperBoundEvaluator
 from repro.dispatch.ls import ls_weights, mean_fare_by_cell
 from repro.dispatch.polar import polar_weights
 from repro.dispatch.simulator import DispatchMetrics, day_orders, simulate_day
-from repro.experiments.config import CityData
+from repro.experiments.config import ITERATIVE_B, CityData
 from repro.models import MODELS
 from repro.routing.daif import run_daif_day
 
@@ -96,14 +96,14 @@ def case_study_run(
 
 def find_optimal_s(
     spark: SparkSession, data: CityData, *, model_name: str = "deepst",
-    slot: int | None = None, b: int = 3,
+    slot: int | None = None,
 ) -> int:
     """GridTuner's tuned side: Iterative Method (Alg. 5) over the bound."""
     st = data.settings
     evaluator = UpperBoundEvaluator.for_city(spark, data, MODELS[model_name])
     slot = st.default_slot if slot is None else slot
     res = iterative_method(
-        evaluator.bound_fn(slot), st.s_min, st.s_max, p=st.s_default, b=b
+        evaluator.bound_fn(slot), st.s_min, st.s_max, p=st.s_default, b=ITERATIVE_B
     )
     return res.s_opt
 

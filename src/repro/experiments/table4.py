@@ -25,7 +25,7 @@ from pyspark.sql import SparkSession
 from repro.core.search import brute_force, iterative_method, ternary_search
 from repro.core.upper_bound import UpperBoundEvaluator
 from repro.dispatch.simulator import allocate, day_orders, spread_to_cells
-from repro.experiments.config import CityData
+from repro.experiments.config import ITERATIVE_B, CityData
 from repro.models import MODELS
 
 
@@ -71,7 +71,6 @@ def run_table4(
     slots: list[int] | None = None,
     P: int | None = None,
     n_drivers: int | None = None,
-    iterative_b: int = 3,
 ) -> pd.DataFrame:
     """Table IV rows for one city (cost, probability, OR per algorithm)."""
     st = data.settings
@@ -83,7 +82,7 @@ def run_table4(
     algos = {
         "Ternary Search": lambda fn: ternary_search(fn, st.s_min, st.s_max),
         "Iterative Method": lambda fn: iterative_method(
-            fn, st.s_min, st.s_max, p=st.s_default, b=iterative_b
+            fn, st.s_min, st.s_max, p=st.s_default, b=ITERATIVE_B
         ),
         "Brute-force Search": lambda fn: brute_force(fn, st.s_min, st.s_max),
     }

@@ -1,4 +1,4 @@
-"""The Spark session rule shared by tests, benchmarks and jobs."""
+"""The Spark session rule shared by tests and jobs."""
 from jobs._session import driver_mem
 
 
@@ -16,3 +16,4 @@ def test_driver_mem_default_is_clamped(monkeypatch):
 def test_session_uses_the_rule(spark):
     assert spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1"
     assert spark.conf.get("spark.sql.execution.arrow.pyspark.enabled") == "true"
+    assert spark.sparkContext.getConf().get("spark.ui.showConsoleProgress") == "false"
