@@ -1,11 +1,12 @@
 """spark-submit entrypoint: error-vs-n curves (paper Figures 3-5 as data).
 
-Sweeps every side ``s_min..s_max`` for the five committed (city, model)
-pairs, loading each city once, writes ``results/curves_<city>_<model>.csv``
-and exits non-zero if a curve does not have the §V-C shape. ``--city`` and
+Sweeps every side ``s_min..s_max`` of the BENCH twins at the default slot
+for the five committed (city, model) pairs, loading each city once, writes
+``results/curves_<city>_<model>.csv`` and exits non-zero if a curve does
+not have the §V-C shape. ``--city`` and
 ``--model`` select a subset of the pairs.
 
-    python jobs/run_error_curves.py [--city nyc] [--model deepst] [--scale bench]
+    python jobs/run_error_curves.py [--city nyc] [--model deepst]
 """
 import argparse
 import sys
@@ -15,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from _session import get_spark  # noqa: E402
-from repro.experiments.config import BENCH, TESTS, load_city  # noqa: E402
+from repro.experiments.config import BENCH, load_city  # noqa: E402
 from repro.experiments.error_curves import error_curves  # noqa: E402
 
 PAIRS = (
@@ -40,20 +41,17 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--city", choices=["nyc", "chengdu", "xian"])
     ap.add_argument("--model", choices=["mlp", "deepst", "dmvst"])
-    ap.add_argument("--scale", default="bench", choices=["bench", "tests"])
-    ap.add_argument("--slot", type=int, default=None)
     args = ap.parse_args()
     pairs = [(c, m) for c, m in PAIRS if args.city in (None, c) and args.model in (None, m)]
     if not pairs:
         ap.error(f"no committed curve for {args.city} / {args.model}")
-    st = BENCH if args.scale == "bench" else TESTS
-    n_sides = list(range(st.s_min, st.s_max + 1))
+    n_sides = list(range(BENCH.s_min, BENCH.s_max + 1))
     spark = get_spark("error-curves")
     failures = []
     for city in dict.fromkeys(c for c, _ in pairs):
-        data = load_city(spark, city, st)
+        data = load_city(spark, city, BENCH)
         for model in (m for c, m in pairs if c == city):
-            df = error_curves(spark, data, model_name=model, n_sides=n_sides, slot=args.slot)
+            df = error_curves(spark, data, model_name=model, n_sides=n_sides)
             df.to_csv(ROOT / "results" / f"curves_{city}_{model}.csv", index=False)
             s_opt = int(df.loc[df["bound"].idxmin(), "n_side"])
             print(f"\n=== error curves ({city}, {model}): bound minimum at {s_opt}x{s_opt} ===")

@@ -1,8 +1,9 @@
 """spark-submit entrypoint: Table III (promotion of prediction-based
-algorithms by tuning the grid size). Writes ``results/table3_<city>.csv``
-and exits non-zero if the table does not have the paper's shape.
+algorithms by tuning the grid size) on the BENCH NYC twin with the
+DeepST-like model. Writes ``results/table3_nyc.csv`` and exits non-zero if
+the table does not have the paper's shape.
 
-    python jobs/run_table3.py [--city nyc] [--model deepst] [--scale bench]
+    python jobs/run_table3.py
 """
 import argparse
 import sys
@@ -12,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from _session import get_spark  # noqa: E402
-from repro.experiments.config import BENCH, TESTS, load_city  # noqa: E402
+from repro.experiments.config import BENCH, load_city  # noqa: E402
 from repro.experiments.table3 import run_table3  # noqa: E402
 
 
@@ -25,18 +26,11 @@ def shape_failures(df) -> list[str]:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--city", default="nyc", choices=["nyc", "chengdu", "xian"])
-    ap.add_argument("--model", default="deepst", choices=["mlp", "deepst", "dmvst"])
-    ap.add_argument("--scale", default="bench", choices=["bench", "tests"])
-    ap.add_argument("--optimal-s", type=int, default=None)
-    args = ap.parse_args()
-    st = BENCH if args.scale == "bench" else TESTS
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
     spark = get_spark("table3")
-    data = load_city(spark, args.city, st)
-    df = run_table3(spark, data, model_name=args.model, optimal_s=args.optimal_s)
+    df = run_table3(spark, load_city(spark, "nyc", BENCH))
     spark.stop()
-    df.to_csv(ROOT / "results" / f"table3_{args.city}.csv", index=False)
+    df.to_csv(ROOT / "results" / "table3_nyc.csv", index=False)
     print(df.to_string(index=False))
     if failures := shape_failures(df):
         sys.exit("\n".join(failures))

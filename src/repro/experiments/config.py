@@ -4,7 +4,7 @@ The paper runs N = 128x128 HGrids, n from 4x4 to 76x76, 30-minute slots,
 three prediction models, on months of real trips. We scale the lattice and
 data volume down together (DESIGN.md §6) so per-cell densities match the
 paper's regime: TESTS (SF=0.01, N=16^2) for unit tests, BENCH (SF=0.1,
-N=32^2) for benchmarks/jobs. Fractions of N_side are preserved: the paper's
+N=32^2) for the jobs. Fractions of N_side are preserved: the paper's
 default/original grid 16 of 128 (2km x 2km) maps to N_side/8; the sweep's
 upper end 76 of 128 maps to ~0.6*N_side.
 """

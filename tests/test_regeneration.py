@@ -1,11 +1,14 @@
 """The regeneration commands in ``jobs/`` and the numbers EXPERIMENTS.md
 quotes from the ``results/`` files they write."""
 import csv
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import pandas as pd
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -17,14 +20,57 @@ CITY_FILES = {"NYC": "nyc", "Chengdu": "chengdu", "Xi'an": "xian"}
 )
 def test_job_runs_from_any_directory(tmp_path, job):
     """A job finds ``src/`` from its own path, not from the working
-    directory or ``PYTHONPATH``. ``--help`` starts no JVM."""
+    directory or ``PYTHONPATH``: ``--help`` works from another directory
+    (it starts no JVM), and the ``repro`` the job imports is this
+    checkout's ``src/repro``. Under an editable install (``pip install -e
+    .``) that is also where ``repro`` resolves without the job's path fix,
+    so there only a missing install shows the fault."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "jobs" / job), "--help"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    path = ROOT / "jobs" / job
+
+    def run(*args):
+        out = subprocess.run(
+            [sys.executable, *args], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        return out.stdout
+
+    assert run(str(path), "--help").startswith("usage:")
+    imported = run(
+        "-c",
+        "import runpy, sys; sys.path.insert(0, sys.argv[1]); runpy.run_path(sys.argv[2]); "
+        "print(sys.modules['repro'].__file__)",
+        str(path.parent), str(path),
     )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("usage:")
+    assert Path(imported.strip()).is_relative_to(ROOT / "src")
+
+
+@pytest.mark.parametrize("stride, written", [(1, []), (4, ["table4_xian.csv"])])
+def test_table4_writes_results_only_at_committed_stride(monkeypatch, tmp_path, stride, written):
+    """``results/table4_<city>.csv`` holds the stride-4 tables; the paper's
+    stride 1 prints its tables and leaves the committed files alone."""
+    monkeypatch.syspath_prepend(str(ROOT / "jobs"))
+    spec = importlib.util.spec_from_file_location("run_table4", ROOT / "jobs" / "run_table4.py")
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+    table = pd.DataFrame({
+        "city": "xian",
+        "algorithm": ["Brute-force Search", "Ternary Search", "Iterative Method"],
+        "bound_calls": [228, 84, 61],
+        "probability": 1.0,
+    })
+    data = SimpleNamespace(events=SimpleNamespace(unpersist=lambda: None))
+    slots_run = []
+    monkeypatch.setattr(job, "ROOT", tmp_path)
+    monkeypatch.setattr(job, "get_spark", lambda app: SimpleNamespace(stop=lambda: None))
+    monkeypatch.setattr(job, "load_city", lambda spark, city, st: data)
+    monkeypatch.setattr(job, "run_table4", lambda spark, d, slots: slots_run.append(slots) or table)
+    monkeypatch.setattr(sys, "argv", ["run_table4.py", "--cities", "xian", "--slots-stride", str(stride)])
+    (tmp_path / "results").mkdir()
+    job.main()
+    assert slots_run == [list(range(0, 48, stride))]
+    assert sorted(p.name for p in (tmp_path / "results").iterdir()) == written
 
 
 def _read_csv(name: str) -> list[dict]:
