@@ -25,6 +25,10 @@ from pyspark.sql import functions as F
 from repro.core.grids import EventTable, GridSpec, grid_spec, mgrid_of_hgrid, with_grid_ids
 from repro.synth_data import SLOTS_PER_DAY
 
+#: §III-A saturation test: D_alpha has saturated once a doubling of N_side
+#: grows it by less than this fraction
+SATURATION_TOL = 0.10
+
 
 def weekday_days(days: range | list[int]) -> list[int]:
     """Weekdays among ``days`` under the generator's convention (day 0 = Monday)."""
@@ -69,7 +73,7 @@ def d_alpha(alphas: np.ndarray) -> float:
 class NSelection:
     """Result of the §III-A procedure: D_alpha per candidate N_side and the
     chosen N_side (first candidate past which relative growth of D_alpha,
-    per doubling, falls under ``rel_tol``)."""
+    per doubling, falls under ``SATURATION_TOL``)."""
 
     candidates: list[int]
     d_values: list[float]
@@ -83,13 +87,12 @@ def select_N(
     slot: int,
     train_days: list[int],
     candidates: list[int] = (8, 16, 32, 64, 128),
-    rel_tol: float = 0.10,
 ) -> NSelection:
     """Pick N by the saturation of D_alpha(N) (paper §III-A / Appendix C).
 
     Computes D_alpha on an ``N_side x N_side`` lattice for each candidate
     (n_side = N_side here, i.e. nm = N) and picks the first N_side whose
-    next doubling grows D_alpha by less than ``rel_tol`` relatively — the
+    next doubling grows D_alpha by less than ``SATURATION_TOL`` relatively — the
     "turning point" of Fig. 14. Falls back to the largest candidate.
     """
     cands = sorted(candidates)
@@ -101,7 +104,7 @@ def select_N(
     chosen = cands[-1]
     for i in range(len(cands) - 1):
         prev = d_values[i]
-        if prev > 0 and (d_values[i + 1] - prev) / prev < rel_tol:
+        if prev > 0 and (d_values[i + 1] - prev) / prev < SATURATION_TOL:
             chosen = cands[i]
             break
     return NSelection(cands, d_values, chosen)

@@ -7,8 +7,3 @@ rationale: both are two-stage prediction-guided dispatchers whose
 performance is U-shaped in the grid count n, which is the property the
 case study measures.
 """
-from repro.dispatch.simulator import DispatchMetrics, simulate_day
-from repro.dispatch.polar import polar_weights
-from repro.dispatch.ls import ls_weights
-
-__all__ = ["DispatchMetrics", "simulate_day", "polar_weights", "ls_weights"]

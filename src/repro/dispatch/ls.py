@@ -12,17 +12,19 @@ from repro.core.grids import EventTable, GridSpec, grid_spec
 from repro.dispatch.simulator import spread_to_cells
 from repro.synth_data import CityConfig
 
+#: pseudo-count of city-mean fares added to every cell's fare history
+FARE_SMOOTH = 8.0
+
 
 def mean_fare_by_cell(
-    events: EventTable, cfg: CityConfig, *, P: int, train_days: list[int],
-    smooth: float = 8.0,
+    events: EventTable, cfg: CityConfig, *, P: int, train_days: list[int]
 ) -> np.ndarray:
     """Per-P-cell expected fare from training history (shrunk to the mean)."""
     spec = grid_spec(cfg, P, P)
     fares = events.bincount(spec, P * P, days=train_days, weights="revenue")
     counts = events.bincount(spec, P * P, days=train_days)
     city_mean = fares.sum() / max(counts.sum(), 1.0)
-    return (fares + smooth * city_mean) / (counts + smooth)
+    return (fares + FARE_SMOOTH * city_mean) / (counts + FARE_SMOOTH)
 
 
 def ls_weights(

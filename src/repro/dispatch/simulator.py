@@ -15,7 +15,7 @@ does). Each 30-minute slot:
    constraint; highest-revenue orders are served first when capacity
    binds.
 3. Matched drivers travel to the order's destination cell and stay busy
-   for ``ceil(trip_km / km_per_slot)`` slots.
+   for ``ceil(trip_km / KM_PER_SLOT)`` slots.
 
 The property the paper's case study relies on emerges from 1+2: weights
 spread uniformly over huge MGrids waste drivers on empty cells (small n),
@@ -28,6 +28,9 @@ import pandas as pd
 
 from repro.core.grids import EventTable, GridSpec, grid_spec, hgrid_ids
 from repro.synth_data import CityConfig
+
+#: distance a matched driver covers per 30-minute slot (25 km/h)
+KM_PER_SLOT = 12.5
 
 
 @dataclass(frozen=True)
@@ -72,13 +75,15 @@ def spread_to_cells(pred_mgrid: np.ndarray, spec: GridSpec, P: int) -> np.ndarra
 
 
 def allocate(weights: np.ndarray, total: int) -> np.ndarray:
-    """Largest-remainder apportionment of ``total`` drivers to cells."""
+    """Largest-remainder apportionment of ``total`` drivers to cells; with
+    no positive weight anywhere, the drivers are spread evenly."""
     w = np.clip(weights, 0.0, None)
     s = w.sum()
-    if s <= 0 or total <= 0:
-        out = np.zeros(w.size, dtype=int)
-        if total > 0:
-            out[: total % w.size] = 1  # degenerate: nothing predicted anywhere
+    if total <= 0:
+        return np.zeros(w.size, dtype=int)
+    if s <= 0:  # degenerate: nothing predicted anywhere
+        out = np.full(w.size, total // w.size)
+        out[: total % w.size] += 1
         return out
     quota = w / s * total
     base = np.floor(quota).astype(int)
@@ -96,14 +101,13 @@ def simulate_day(
     P: int,
     n_drivers: int,
     slots: int,
-    km_per_slot: float = 12.5,
 ) -> DispatchMetrics:
     """Run one day of two-stage dispatch (fully deterministic).
 
     ``orders`` — frame from :func:`day_orders`; ``weights_by_slot`` —
     (slots, P*P) pre-positioning weights (the dispatcher's policy). Idle
     drivers are repositioned freely each slot, so only the idle/busy budget
-    persists across slots (busy time = trip distance / ``km_per_slot``).
+    persists across slots (busy time = trip distance / ``KM_PER_SLOT``).
     """
     ncells = P * P
     free_at = np.zeros(n_drivers, dtype=int)
@@ -135,6 +139,6 @@ def simulate_day(
         taken = g[take]
         served += k
         revenue += float(taken["revenue"].sum())
-        busy = np.maximum(np.ceil(taken["trip_km"].to_numpy() / km_per_slot), 1).astype(int)
+        busy = np.maximum(np.ceil(taken["trip_km"].to_numpy() / KM_PER_SLOT), 1).astype(int)
         free_at[idle[:k]] = t + busy
     return DispatchMetrics(served=served, revenue=revenue, arrived=arrived)

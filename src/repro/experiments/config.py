@@ -10,6 +10,7 @@ upper end 76 of 128 maps to ~0.6*N_side.
 """
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 from pyspark.sql import DataFrame, SparkSession
 
@@ -20,17 +21,19 @@ from repro.synth_data import CITIES, SLOTS_PER_DAY, CityConfig, taxi_trips
 
 @dataclass(frozen=True)
 class Settings:
-    """One experiment scale (paper Table II analogue)."""
+    """One experiment scale (paper Table II analogue). Only the volume
+    (``sf``), the HGrid lattice and the generated days vary; the slots, the
+    day splits and K are the same at every scale."""
 
     sf: float
     N_side: int
     days: int = 33  # ~a month of training + validation + a test day
-    slots: int = SLOTS_PER_DAY
-    train_day_range: tuple[int, int] = (0, 28)
-    val_day_range: tuple[int, int] = (28, 32)
-    test_day: int = 32  # 32 % 7 == 4 -> a Friday (a workday, like the paper's)
-    default_slot: int = 17  # 8:30 AM — the paper's default 8:00-8:30 window
-    K: int | None = None  # expression-error truncation; None = auto (Thm III.2)
+    slots: ClassVar[int] = SLOTS_PER_DAY
+    train_day_range: ClassVar[tuple[int, int]] = (0, 28)
+    val_day_range: ClassVar[tuple[int, int]] = (28, 32)
+    test_day: ClassVar[int] = 32  # 32 % 7 == 4 -> a Friday (a workday, like the paper's)
+    default_slot: ClassVar[int] = 17  # 8:30 AM — the paper's default 8:00-8:30 window
+    K: ClassVar[int | None] = None  # expression-error truncation; None = auto (Thm III.2)
 
     @property
     def s_min(self) -> int:

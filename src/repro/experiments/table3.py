@@ -5,7 +5,8 @@ the original papers' defaults (16x16 or 20x20 of 128) and reports the
 improvement per (metric, algorithm). Here: the original sides are the
 paper's values rescaled to our lattice, the tuned side comes from the
 Iterative Method over the bound (the paper's preferred search), and every
-algorithm is replayed on the synthetic test day at both grid sizes.
+algorithm is replayed on the synthetic test day at both grid sizes. The
+forecasts come from the DeepST substitute throughout.
 """
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ from repro.dispatch.ls import ls_weights, mean_fare_by_cell
 from repro.dispatch.polar import polar_weights
 from repro.dispatch.simulator import DispatchMetrics, day_orders, simulate_day
 from repro.experiments.config import ITERATIVE_B, CityData
-from repro.models import MODELS
+from repro.models import DeepSTLike
 from repro.routing.daif import run_daif_day
 
 
@@ -35,14 +36,13 @@ class CaseStudyRun:
     daif_cost: float
 
 
-def _predictions_by_slot(
-    data: CityData, s: int, model_name: str
-) -> tuple[np.ndarray, object]:
-    """(slots, n) forecasts for the test day at grid side s (model trained
-    once per s on all slots, as the original systems train theirs)."""
+def _predictions_by_slot(data: CityData, s: int) -> tuple[np.ndarray, object]:
+    """(slots, n) DeepST-substitute forecasts for the test day at grid side s
+    (model trained once per s on all slots, as the original systems train
+    theirs)."""
     st = data.settings
     tensor = data.counts.tensor(s)
-    model = MODELS[model_name]().fit(tensor, st.train_days)
+    model = DeepSTLike().fit(tensor, st.train_days)
     preds = np.stack(
         [model.predict(tensor, st.test_day, t) for t in range(st.slots)]
     )
@@ -54,27 +54,25 @@ def case_study_run(
     data: CityData,
     s: int,
     *,
-    model_name: str = "deepst",
-    P: int | None = None,
-    n_drivers: int | None = None,
-    n_vehicles: int | None = None,
     oracle: bool = False,
 ) -> CaseStudyRun:
-    """Replay POLAR / LS / DAIF on the test day with forecasts at side s.
+    """Replay POLAR / LS / DAIF on the test day with forecasts at side s,
+    positioning on the HGrid lattice (P = N_side) with a fleet sized from
+    the day's order count.
 
     ``oracle=True`` replaces the forecast with the test day's *actual*
     per-MGrid counts (the paper's "real order data" mode: model error 0,
     real error = expression error only).
     """
     st = data.settings
-    P = st.N_side if P is None else P
+    P = st.N_side
     orders = day_orders(data.counts.table, data.cfg, day=st.test_day, P=P)
     if oracle:
         preds, spec = data.counts.tensor(s)[st.test_day], data.counts.spec(s)  # actual counts
     else:
-        preds, spec = _predictions_by_slot(data, s, model_name)
-    n_drivers = max(50, int(0.02 * len(orders))) if n_drivers is None else n_drivers
-    n_vehicles = max(30, int(0.008 * len(orders))) if n_vehicles is None else n_vehicles
+        preds, spec = _predictions_by_slot(data, s)
+    n_drivers = max(50, int(0.02 * len(orders)))
+    n_vehicles = max(30, int(0.008 * len(orders)))
     w_polar = polar_weights(preds, spec, P)
     fares = mean_fare_by_cell(data.counts.table, data.cfg, P=P, train_days=st.train_days)
     w_ls = ls_weights(preds, spec, P, fares)
@@ -94,16 +92,13 @@ def case_study_run(
     )
 
 
-def find_optimal_s(
-    spark: SparkSession, data: CityData, *, model_name: str = "deepst",
-    slot: int | None = None,
-) -> int:
-    """GridTuner's tuned side: Iterative Method (Alg. 5) over the bound."""
+def find_optimal_s(spark: SparkSession, data: CityData) -> int:
+    """GridTuner's tuned side: Iterative Method (Alg. 5) over the DeepST
+    substitute's bound at the default slot."""
     st = data.settings
-    evaluator = UpperBoundEvaluator.for_city(spark, data, MODELS[model_name])
-    slot = st.default_slot if slot is None else slot
+    evaluator = UpperBoundEvaluator.for_city(spark, data, DeepSTLike)
     res = iterative_method(
-        evaluator.bound_fn(slot), st.s_min, st.s_max, p=st.s_default, b=ITERATIVE_B
+        evaluator.bound_fn(st.default_slot), st.s_min, st.s_max, p=st.s_default, b=ITERATIVE_B
     )
     return res.s_opt
 
@@ -123,20 +118,18 @@ def run_table3(
     spark: SparkSession,
     data: CityData,
     *,
-    model_name: str = "deepst",
     optimal_s: int | None = None,
-    **case_kwargs,
 ) -> pd.DataFrame:
     """Produce Table III: one row per (metric, algorithm) with the original
     n, the tuned n, both metric values, and the improvement ratio."""
     st = data.settings
     if optimal_s is None:
-        optimal_s = find_optimal_s(spark, data, model_name=model_name)
+        optimal_s = find_optimal_s(spark, data)
     runs: dict[int, CaseStudyRun] = {}
 
     def at(s: int) -> CaseStudyRun:
         if s not in runs:
-            runs[s] = case_study_run(spark, data, s, model_name=model_name, **case_kwargs)
+            runs[s] = case_study_run(spark, data, s)
         return runs[s]
 
     def metric(run: CaseStudyRun, metric_name: str, algo: str) -> float:

@@ -14,9 +14,11 @@ cache (filled for every swept side before the searches) and report:
   positioned with the found-n forecasts, divided by served orders with the
   optimal-n forecasts (summed over the evaluated slots), mirroring the
   paper's o_a / o_r definition.
+
+Every bound and forecast comes from the DeepST substitute.
 """
 import time
-from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import pandas as pd
@@ -26,58 +28,15 @@ from repro.core.search import brute_force, iterative_method, ternary_search
 from repro.core.upper_bound import UpperBoundEvaluator
 from repro.dispatch.simulator import allocate, day_orders, spread_to_cells
 from repro.experiments.config import ITERATIVE_B, CityData
-from repro.models import MODELS
-
-
-@dataclass
-class _ORMeter:
-    """Served orders of a single-slot POLAR matching at grid side s —
-    the o_a / o_r measurement (not charged to any search's cost)."""
-
-    data: CityData
-    model_name: str
-    P: int
-    n_drivers: int
-
-    def __post_init__(self):
-        st = self.data.settings
-        orders = day_orders(self.data.counts.table, self.data.cfg, day=st.test_day, P=self.P)
-        self._cells_by_slot = {
-            int(s): g["cell"].to_numpy(int) for s, g in orders.groupby("slot")
-        }
-        self._served: dict[tuple[int, int], int] = {}
-
-    def served(self, s: int, slot: int) -> int:
-        key = (s, slot)
-        if key in self._served:
-            return self._served[key]
-        st = self.data.settings
-        tensor = self.data.counts.tensor(s)
-        model = MODELS[self.model_name]().fit(tensor, st.train_days, slot)
-        pred = model.predict(tensor, st.test_day, slot)
-        alloc = allocate(spread_to_cells(pred, self.data.counts.spec(s), self.P), self.n_drivers)
-        cells = self._cells_by_slot.get(slot, np.empty(0, dtype=int))
-        demand = np.bincount(cells, minlength=self.P * self.P)
-        val = int(np.minimum(alloc, demand).sum())
-        self._served[key] = val
-        return val
+from repro.models import DeepSTLike
 
 
 def run_table4(
-    spark: SparkSession,
-    data: CityData,
-    *,
-    model_name: str = "deepst",
-    slots: list[int] | None = None,
-    P: int | None = None,
-    n_drivers: int | None = None,
+    spark: SparkSession, data: CityData, *, slots: list[int] | None = None
 ) -> pd.DataFrame:
     """Table IV rows for one city (cost, probability, OR per algorithm)."""
     st = data.settings
     slots = list(range(st.slots)) if slots is None else slots
-    P = st.N_side if P is None else P
-    daily = int(data.cfg.daily_orders * st.sf)
-    n_drivers = max(20, int(0.7 * daily / st.slots)) if n_drivers is None else n_drivers
 
     algos = {
         "Ternary Search": lambda fn: ternary_search(fn, st.s_min, st.s_max),
@@ -94,7 +53,7 @@ def run_table4(
     found: dict[str, dict[int, int]] = {}
     stats: dict[str, dict] = {}
     for name, algo in algos.items():
-        evaluator = UpperBoundEvaluator.for_city(spark, data, MODELS[model_name])
+        evaluator = UpperBoundEvaluator.for_city(spark, data, DeepSTLike)
         t0 = time.perf_counter()
         per_slot = {}
         for slot in slots:
@@ -105,13 +64,29 @@ def run_table4(
             "bound_calls": evaluator.calls,
         }
 
+    # the o_a / o_r measurement, not charged to any search's cost: POLAR
+    # positions on the HGrid lattice with a slot's share of 70% of the day's
+    # orders as drivers
+    P = st.N_side
+    n_drivers = max(20, int(0.7 * int(data.cfg.daily_orders * st.sf) / st.slots))
+    orders = day_orders(data.counts.table, data.cfg, day=st.test_day, P=P)
+    cells_by_slot = {int(t): g["cell"].to_numpy(int) for t, g in orders.groupby("slot")}
+
+    @cache
+    def served(s: int, slot: int) -> int:
+        """Served orders of a single-slot POLAR matching at grid side s."""
+        tensor = data.counts.tensor(s)
+        pred = DeepSTLike().fit(tensor, st.train_days, slot).predict(tensor, st.test_day, slot)
+        alloc = allocate(spread_to_cells(pred, data.counts.spec(s), P), n_drivers)
+        demand = np.bincount(cells_by_slot.get(slot, np.empty(0, dtype=int)), minlength=P * P)
+        return int(np.minimum(alloc, demand).sum())
+
     optimal = found["Brute-force Search"]
-    meter = _ORMeter(data, model_name, P, n_drivers)
     rows = []
     for name in algos:
         hits = sum(found[name][t] == optimal[t] for t in slots)
-        o_a = sum(meter.served(found[name][t], t) for t in slots)
-        o_r = sum(meter.served(optimal[t], t) for t in slots)
+        o_a = sum(served(found[name][t], t) for t in slots)
+        o_r = sum(served(optimal[t], t) for t in slots)
         rows.append(
             {
                 "city": data.cfg.name,

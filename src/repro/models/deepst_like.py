@@ -21,11 +21,11 @@ class DeepSTLike:
     """Global least-squares blend of closeness / period / trend features."""
 
     name = "deepst"
+    lags = 8  # closeness: the nearest 8 slots
+    period_days = 8  # period: the same slot on the previous 8 days
+    trend_weeks = 2  # trend: the same slot and weekday, 1 and 2 weeks back
 
-    def __init__(self, lags: int = 8, period_days: int = 8, trend_weeks: int = 2):
-        self.lags = lags
-        self.period_days = period_days
-        self.trend_weeks = trend_weeks
+    def __init__(self):
         self.coef_: np.ndarray | None = None
 
     def _features(self, tensor: np.ndarray, day: int, slot: int) -> np.ndarray:

@@ -30,11 +30,10 @@ class DmvstLike(DeepSTLike):
     """DeepST-like features + spatial smoothing + shrunken per-grid bias."""
 
     name = "dmvst"
+    shrink_tau = 24.0  # residual samples at which the bias keeps half its weight
 
-    def __init__(self, lags: int = 8, period_days: int = 8, trend_weeks: int = 2,
-                 shrink_tau: float = 24.0):
-        super().__init__(lags, period_days, trend_weeks)
-        self.shrink_tau = shrink_tau
+    def __init__(self):
+        super().__init__()
         self.bias_: np.ndarray | None = None
 
     def _features(self, tensor: np.ndarray, day: int, slot: int) -> np.ndarray:

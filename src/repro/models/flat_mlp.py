@@ -17,22 +17,14 @@ class FlatMLP:
     """Two-layer MLP (lags -> hidden ReLU -> scalar), shared across grids."""
 
     name = "mlp"
+    lags = 8
+    hidden = 32
+    epochs = 120
+    lr = 0.03
+    seed = 0  # subsample and weight initialisation
 
-    def __init__(
-        self,
-        lags: int = 8,
-        hidden: int = 32,
-        epochs: int = 120,
-        lr: float = 0.03,
-        max_samples: int = 200_000,
-        seed: int = 0,
-    ):
-        self.lags = lags
-        self.hidden = hidden
-        self.epochs = epochs
-        self.lr = lr
+    def __init__(self, max_samples: int = 200_000):
         self.max_samples = max_samples
-        self.seed = seed
         self._params = None
         self._x_mu = self._x_sd = self._y_mu = self._y_sd = None
 

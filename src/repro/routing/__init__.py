@@ -1,4 +1,1 @@
 """Demand-aware route-planning substrate (paper §V-D, DAIF case study)."""
-from repro.routing.daif import RoutePlanMetrics, run_daif_day
-
-__all__ = ["RoutePlanMetrics", "run_daif_day"]

@@ -6,11 +6,11 @@ ride requests by greedy minimum-detour insertion; *demand-awareness* enters
 exactly where the paper's does: idle vehicles are repositioned toward the
 cells the per-MGrid forecast (spread uniformly, as always) marks as hot.
 Metrics match Table III: number of served requests and the unified cost
-(total travel distance + a per-unserved-request penalty).
+(total travel distance + ``PENALTY_KM`` per unserved request).
 
 World model per 30-minute slot:
 
-1. vehicles advance along their stop queues at ``speed_kmh``;
+1. vehicles advance along their stop queues at ``SPEED_KMH``;
 2. idle vehicles move (speed-limited) toward forecast-hot cells — the same
    largest-remainder allocation as the dispatch simulator;
 3. each new request is appended (origin then destination) to the feasible
@@ -25,6 +25,11 @@ import numpy as np
 import pandas as pd
 
 from repro.dispatch.simulator import allocate
+
+SPEED_KMH = 30.0
+SLOT_HOURS = 0.5  # 30-minute slots
+#: unified-cost charge for each rejected request, in km of travel
+PENALTY_KM = 15.0
 
 
 @dataclass(frozen=True)
@@ -55,10 +60,7 @@ def run_daif_day(
     n_vehicles: int,
     slots: int,
     cap: int = 2,
-    speed_kmh: float = 30.0,
-    slot_hours: float = 0.5,
     max_pickup_km: float = 2.5,
-    penalty_km: float = 15.0,
     seed: int = 0,
 ) -> RoutePlanMetrics:
     """Run one day of insertion-based route planning.
@@ -72,7 +74,7 @@ def run_daif_day(
     pos = np.column_stack(
         [rng.random(n_vehicles) * width_km, rng.random(n_vehicles) * height_km]
     )
-    budget = speed_kmh * slot_hours  # km of travel per vehicle per slot
+    budget = SPEED_KMH * SLOT_HOURS  # km of travel per vehicle per slot
     queues: list[list[tuple[np.ndarray, bool]]] = [[] for _ in range(n_vehicles)]
     open_reqs = np.zeros(n_vehicles, dtype=int)
     tails = pos.copy()  # end of each vehicle's planned route
@@ -141,5 +143,5 @@ def run_daif_day(
         served=served,
         arrived=arrived,
         travel_km=travel,
-        unified_cost=travel + penalty_km * (arrived - served),
+        unified_cost=travel + PENALTY_KM * (arrived - served),
     )

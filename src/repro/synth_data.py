@@ -138,14 +138,13 @@ def day_factors(days: int, cfg: CityConfig) -> np.ndarray:
 
 
 def true_cell_means(
-    cfg: CityConfig, *, sf: float, slot: int, side: int = GEN_SIDE,
-    slots: int = SLOTS_PER_DAY,
+    cfg: CityConfig, *, sf: float, slot: int, side: int = GEN_SIDE
 ) -> np.ndarray:
     """Ground-truth Poisson mean per generator cell for a weekday ``slot``.
 
     Tests use this as the oracle for alpha estimation.
     """
-    return intensity_field(cfg, side) * (cfg.daily_orders * sf) * temporal_profile(slots)[slot]
+    return intensity_field(cfg, side) * (cfg.daily_orders * sf) * temporal_profile()[slot]
 
 
 def taxi_trips_pdf(
@@ -154,7 +153,6 @@ def taxi_trips_pdf(
     sf: float = 0.01,
     days: int = 33,
     slots: int = SLOTS_PER_DAY,
-    side: int = GEN_SIDE,
     seed: int | None = None,
 ) -> pd.DataFrame:
     """Generate a city's trips as pandas (deterministic in ``seed``).
@@ -163,18 +161,18 @@ def taxi_trips_pdf(
     (origin, km), ``dest_x``/``dest_y`` (km), ``revenue`` (fare). Counts per
     (day, slot, cell) are Poisson(intensity x daily volume x slot profile x
     weekday factor); positions are uniform inside the cell (events are
-    homogeneous below the generator lattice by construction).
+    homogeneous below the ``GEN_SIDE`` lattice by construction).
     """
     g = np.random.default_rng(cfg.seed if seed is None else seed)
-    fld = intensity_field(cfg, side)
+    fld = intensity_field(cfg)
     prof = temporal_profile(slots)
     dayf = day_factors(days, cfg)
     flat = fld.ravel()
-    cell_w, cell_h = cfg.width_km / side, cfg.height_km / side
+    cell_w, cell_h = cfg.width_km / GEN_SIDE, cfg.height_km / GEN_SIDE
     chunks = []
     for d in range(days):
         lam = flat[None, :] * (cfg.daily_orders * sf * dayf[d]) * prof[:, None]
-        counts = g.poisson(lam)  # (slots, side*side)
+        counts = g.poisson(lam)  # (slots, GEN_SIDE**2)
         s_idx, c_idx = np.nonzero(counts)
         reps = counts[s_idx, c_idx]
         slot_col = np.repeat(s_idx, reps)
@@ -182,12 +180,12 @@ def taxi_trips_pdf(
         n = cell.size
         if n == 0:
             continue
-        ix, iy = cell % side, cell // side
+        ix, iy = cell % GEN_SIDE, cell // GEN_SIDE
         x = (ix + g.random(n)) * cell_w
         y = (iy + g.random(n)) * cell_h
-        dest = g.choice(side * side, size=n, p=flat)
-        dx = (dest % side + g.random(n)) * cell_w
-        dy = (dest // side + g.random(n)) * cell_h
+        dest = g.choice(GEN_SIDE * GEN_SIDE, size=n, p=flat)
+        dx = (dest % GEN_SIDE + g.random(n)) * cell_w
+        dy = (dest // GEN_SIDE + g.random(n)) * cell_h
         dist = np.hypot(dx - x, dy - y)
         revenue = 2.5 + 1.8 * dist * (1.0 + 0.2 * g.standard_normal(n))
         chunks.append(
@@ -213,10 +211,9 @@ def taxi_trips(
     sf: float = 0.01,
     days: int = 33,
     slots: int = SLOTS_PER_DAY,
-    side: int = GEN_SIDE,
     seed: int | None = None,
 ) -> DataFrame:
     """Spark view of :func:`taxi_trips_pdf` (same determinism guarantees)."""
     return spark.createDataFrame(
-        taxi_trips_pdf(cfg, sf=sf, days=days, slots=slots, side=side, seed=seed)
+        taxi_trips_pdf(cfg, sf=sf, days=days, slots=slots, seed=seed)
     )

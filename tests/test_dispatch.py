@@ -36,8 +36,10 @@ class TestAllocate:
         assert out[0] == 0 and out[1] == 10
 
     def test_all_zero_weights(self):
-        out = allocate(np.zeros(4), 3)
-        assert out.sum() == 3 and (out >= 0).all()
+        for total in (3, 4, 10):
+            out = allocate(np.zeros(4), total)
+            assert out.sum() == total and (out >= 0).all()
+            assert out.max() - out.min() <= 1  # spread evenly
 
 
 class TestSpreadToCells:
