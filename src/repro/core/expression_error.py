@@ -247,9 +247,7 @@ def _expression_errors(
     return ee[inv.reshape(-1)]
 
 
-def expression_error_fast(
-    alphas: np.ndarray, m: int, K: int | None = None
-) -> np.ndarray:
+def expression_error_fast(alphas: np.ndarray, m: int, K: int | None) -> np.ndarray:
     """E_e for every HGrid of one MGrid, by the batched kernel.
 
     ``alphas`` holds the m per-HGrid means (zeros included; NaN, infinite

@@ -73,7 +73,7 @@ def _cell(coord: Column, extent_km: float, side: int) -> Column:
     )
 
 
-def with_grid_ids(events: DataFrame, spec: GridSpec, x: str = "x", y: str = "y") -> DataFrame:
+def with_grid_ids(events: DataFrame, spec: GridSpec) -> DataFrame:
     """Add HGrid/MGrid ids to an event DataFrame (pure Catalyst projection).
 
     Adds ``fx``/``fy`` (fine-lattice cell coords), ``hgrid``
@@ -82,8 +82,8 @@ def with_grid_ids(events: DataFrame, spec: GridSpec, x: str = "x", y: str = "y")
     HGrid index j in the paper's r_ij is recoverable from
     (fx % m_side, fy % m_side); we key by global ``hgrid`` instead.
     """
-    fx = _cell(F.col(x), spec.width_km, spec.fine_side)
-    fy = _cell(F.col(y), spec.height_km, spec.fine_side)
+    fx = _cell(F.col("x"), spec.width_km, spec.fine_side)
+    fy = _cell(F.col("y"), spec.height_km, spec.fine_side)
     out = events.withColumn("fx", fx).withColumn("fy", fy)
     out = out.withColumn(
         "hgrid", (F.col("fy") * spec.fine_side + F.col("fx")).cast("long")

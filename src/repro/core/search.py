@@ -68,12 +68,11 @@ def ternary_search(eval_fn, s_min: int, s_max: int) -> SearchResult:
     return SearchResult(best, cache)
 
 
-def iterative_method(
-    eval_fn, s_min: int, s_max: int, *, p: int = 16, b: int = 4
-) -> SearchResult:
-    """Paper Algorithm 5: local descent from the prior p (the "2km x 2km ~
-    16 x 16" default of existing systems) with search boundary b, probing
-    from the boundary inward (i = b..1) to skip monotone stretches fast.
+def iterative_method(eval_fn, s_min: int, s_max: int, *, p: int, b: int) -> SearchResult:
+    """Paper Algorithm 5: local descent from the prior p (the paper's 16, the
+    "2km x 2km ~ 16 x 16" default of existing systems) with search boundary
+    b (the paper's 4), probing from the boundary inward (i = b..1) to skip
+    monotone stretches fast.
 
     Deviation from the pseudocode: the printed downhill test
     ``if e(p) < e(p-i): p <- p-i`` moves toward the *worse* point; we use

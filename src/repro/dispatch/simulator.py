@@ -14,8 +14,8 @@ does). Each 30-minute slot:
    *in the same cell* — the cell size plays the role of the pickup-radius
    constraint; highest-revenue orders are served first when capacity
    binds.
-3. Matched drivers travel to the order's destination cell and stay busy
-   for ``ceil(trip_km / KM_PER_SLOT)`` slots.
+3. Matched drivers are busy for ``ceil(trip_km / KM_PER_SLOT)`` slots and
+   are then repositioned freely, like every idle driver.
 
 The property the paper's case study relies on emerges from 1+2: weights
 spread uniformly over huge MGrids waste drivers on empty cells (small n),
@@ -45,8 +45,8 @@ class DispatchMetrics:
 def day_orders(
     events: EventTable, cfg: CityConfig, *, day: int, P: int
 ) -> pd.DataFrame:
-    """One day's orders on the P-lattice: (slot, cell, dest_cell, trip_km,
-    revenue, x, y, dest_x, dest_y), in the event table's collection order.
+    """One day's orders on the P-lattice: (slot, cell, trip_km, revenue, x,
+    y, dest_x, dest_y), in the event table's collection order.
     The order is pinned because :func:`simulate_day` sorts each slot by
     revenue with a non-stable sort and then matches greedily: which of two
     equal-revenue orders is served, and so Table III, depends on it."""
@@ -55,7 +55,6 @@ def day_orders(
     return pd.DataFrame({
         "slot": ev.slot,
         "cell": hgrid_ids(ev.x, ev.y, spec),
-        "dest_cell": hgrid_ids(ev.dest_x, ev.dest_y, spec),
         "trip_km": np.sqrt((ev.dest_x - ev.x) ** 2 + (ev.dest_y - ev.y) ** 2),
         "revenue": ev.revenue, "x": ev.x, "y": ev.y, "dest_x": ev.dest_x, "dest_y": ev.dest_y,
     })
@@ -98,18 +97,16 @@ def simulate_day(
     orders: pd.DataFrame,
     weights_by_slot: np.ndarray,
     *,
-    P: int,
     n_drivers: int,
-    slots: int,
 ) -> DispatchMetrics:
     """Run one day of two-stage dispatch (fully deterministic).
 
     ``orders`` — frame from :func:`day_orders`; ``weights_by_slot`` —
-    (slots, P*P) pre-positioning weights (the dispatcher's policy). Idle
-    drivers are repositioned freely each slot, so only the idle/busy budget
-    persists across slots (busy time = trip distance / ``KM_PER_SLOT``).
+    (slots, P*P) pre-positioning weights (the dispatcher's policy), one row
+    per slot of the day. Idle drivers are repositioned freely each slot, so
+    only the idle/busy budget persists across slots (busy time = trip
+    distance / ``KM_PER_SLOT``).
     """
-    ncells = P * P
     free_at = np.zeros(n_drivers, dtype=int)
     by_slot = {
         int(s): g.sort_values("revenue", ascending=False)
@@ -118,7 +115,7 @@ def simulate_day(
     served = 0
     revenue = 0.0
     arrived = len(orders)
-    for t in range(slots):
+    for t in range(len(weights_by_slot)):
         idle = np.flatnonzero(free_at <= t)
         if idle.size == 0:
             continue

@@ -22,12 +22,13 @@ from repro.synth_data import CITIES, SLOTS_PER_DAY, CityConfig, taxi_trips
 @dataclass(frozen=True)
 class Settings:
     """One experiment scale (paper Table II analogue). Only the volume
-    (``sf``), the HGrid lattice and the generated days vary; the slots, the
-    day splits and K are the same at every scale."""
+    (``sf``) and the HGrid lattice vary; the generated days, the slots, the
+    day splits and K are the same at every scale, so every scale holds its
+    splits."""
 
     sf: float
     N_side: int
-    days: int = 33  # ~a month of training + validation + a test day
+    days: ClassVar[int] = 33  # ~a month of training + validation + a test day
     slots: ClassVar[int] = SLOTS_PER_DAY
     train_day_range: ClassVar[tuple[int, int]] = (0, 28)
     val_day_range: ClassVar[tuple[int, int]] = (28, 32)

@@ -36,17 +36,14 @@ class CaseStudyRun:
     daif_cost: float
 
 
-def _predictions_by_slot(data: CityData, s: int) -> tuple[np.ndarray, object]:
+def _predictions_by_slot(data: CityData, s: int) -> np.ndarray:
     """(slots, n) DeepST-substitute forecasts for the test day at grid side s
     (model trained once per s on all slots, as the original systems train
     theirs)."""
     st = data.settings
     tensor = data.counts.tensor(s)
     model = DeepSTLike().fit(tensor, st.train_days)
-    preds = np.stack(
-        [model.predict(tensor, st.test_day, t) for t in range(st.slots)]
-    )
-    return preds, data.counts.spec(s)
+    return np.stack([model.predict(tensor, st.test_day, t) for t in range(st.slots)])
 
 
 def case_study_run(
@@ -67,25 +64,24 @@ def case_study_run(
     st = data.settings
     P = st.N_side
     orders = day_orders(data.counts.table, data.cfg, day=st.test_day, P=P)
+    spec = data.counts.spec(s)
     if oracle:
-        preds, spec = data.counts.tensor(s)[st.test_day], data.counts.spec(s)  # actual counts
+        preds = data.counts.tensor(s)[st.test_day]  # actual counts
     else:
-        preds, spec = _predictions_by_slot(data, s)
+        preds = _predictions_by_slot(data, s)
     n_drivers = max(50, int(0.02 * len(orders)))
     n_vehicles = max(30, int(0.008 * len(orders)))
     w_polar = polar_weights(preds, spec, P)
     fares = mean_fare_by_cell(data.counts.table, data.cfg, P=P, train_days=st.train_days)
     w_ls = ls_weights(preds, spec, P, fares)
-    polar = simulate_day(orders, w_polar, P=P, n_drivers=n_drivers, slots=st.slots)
-    ls = simulate_day(orders, w_ls, P=P, n_drivers=n_drivers, slots=st.slots)
+    polar = simulate_day(orders, w_polar, n_drivers=n_drivers)
+    ls = simulate_day(orders, w_ls, n_drivers=n_drivers)
     daif = run_daif_day(
         orders,
         w_polar,
-        P=P,
         width_km=data.cfg.width_km,
         height_km=data.cfg.height_km,
         n_vehicles=n_vehicles,
-        slots=st.slots,
     )
     return CaseStudyRun(
         s=s, polar=polar, ls=ls, daif_served=daif.served, daif_cost=daif.unified_cost

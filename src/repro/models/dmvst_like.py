@@ -10,7 +10,7 @@ strongest of the three substitutes (verified by tests).
 """
 import numpy as np
 
-from repro.models.base import flat_index, period_values
+from repro.models.base import period_values
 from repro.models.deepst_like import DeepSTLike
 
 
@@ -47,21 +47,13 @@ class DmvstLike(DeepSTLike):
     def fit(
         self, tensor: np.ndarray, train_days: list[int], slot: int | None = None
     ) -> "DmvstLike":
-        super().fit(tensor, train_days, slot)
-        # per-grid residual bias on the training slots, shrunk toward 0
-        days, slots, n = tensor.shape
-        resid = np.zeros(n)
-        cnt = 0
-        for d in train_days:
-            if d < 1:
-                continue
-            for t in range(slots) if slot is None else (slot,):
-                if flat_index(d, t, slots) < self.lags:
-                    continue
-                resid += tensor[d, t, :] - self._features(tensor, d, t) @ self.coef_
-                cnt += 1
+        X, y = self._samples(tensor, train_days, slot)
+        self.coef_, *_ = np.linalg.lstsq(X, y, rcond=None)
+        # per-grid residual bias on the same training rows, shrunk toward 0
+        resid = (y - X @ self.coef_).reshape(-1, tensor.shape[2])
+        cnt = len(resid)
         shrink = cnt / (cnt + self.shrink_tau)
-        self.bias_ = shrink * resid / max(cnt, 1)
+        self.bias_ = shrink * resid.sum(0) / cnt
         return self
 
     def predict(self, tensor: np.ndarray, day: int, slot: int) -> np.ndarray:

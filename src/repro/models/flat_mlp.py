@@ -5,8 +5,8 @@ nearest eight time slots. Weights are shared across MGrids (the offline
 container has no GPU stack for a 6-layer per-city net — DESIGN.md §4); the
 behavioural role is preserved: it is the *weakest* of the three models
 because it never sees period/trend information, so it lags demand ramps.
-Training is deterministic full-batch gradient descent with momentum on a
-seeded subsample.
+Training is deterministic full-batch gradient descent with momentum from a
+seeded initialisation.
 """
 import numpy as np
 
@@ -21,10 +21,9 @@ class FlatMLP:
     hidden = 32
     epochs = 120
     lr = 0.03
-    seed = 0  # subsample and weight initialisation
+    seed = 0  # weight initialisation
 
-    def __init__(self, max_samples: int = 200_000):
-        self.max_samples = max_samples
+    def __init__(self):
         self._params = None
         self._x_mu = self._x_sd = self._y_mu = self._y_sd = None
 
@@ -42,14 +41,7 @@ class FlatMLP:
                     continue
                 xs.append(flat[g - self.lags : g].T)  # (n, lags)
                 ys.append(flat[g])
-        X = np.concatenate(xs, axis=0)
-        y = np.concatenate(ys, axis=0)
-        if X.shape[0] > self.max_samples:
-            idx = np.random.default_rng(self.seed).choice(
-                X.shape[0], self.max_samples, replace=False
-            )
-            X, y = X[idx], y[idx]
-        return X, y
+        return np.concatenate(xs, axis=0), np.concatenate(ys, axis=0)
 
     def fit(
         self, tensor: np.ndarray, train_days: list[int], slot: int | None = None

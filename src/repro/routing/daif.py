@@ -1,7 +1,7 @@
 """DAIF-style demand-aware route planning (substitute for Wang et al.,
 VLDB'20 — see DESIGN.md §4).
 
-A fleet of shared vehicles (capacity ``cap`` concurrent requests) serves
+A fleet of shared vehicles (capacity ``CAP`` concurrent requests) serves
 ride requests by greedy minimum-detour insertion; *demand-awareness* enters
 exactly where the paper's does: idle vehicles are repositioned toward the
 cells the per-MGrid forecast (spread uniformly, as always) marks as hot.
@@ -15,10 +15,11 @@ World model per 30-minute slot:
    largest-remainder allocation as the dispatch simulator;
 3. each new request is appended (origin then destination) to the feasible
    vehicle with the smallest detour, where feasible means the vehicle
-   carries < cap open requests and its route tail is within
-   ``max_pickup_km`` (plus a backlog allowance); infeasible requests are
+   carries < ``CAP`` open requests and its route tail is within
+   ``MAX_PICKUP_KM`` (plus a backlog allowance); infeasible requests are
    rejected. The candidate scan is vectorised over the fleet.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,12 @@ SPEED_KMH = 30.0
 SLOT_HOURS = 0.5  # 30-minute slots
 #: unified-cost charge for each rejected request, in km of travel
 PENALTY_KM = 15.0
+#: concurrent open requests per vehicle
+CAP = 2
+#: pickup radius around a vehicle's route tail, before the backlog allowance
+MAX_PICKUP_KM = 2.5
+#: seed of the initial vehicle placement
+SEED = 0
 
 
 @dataclass(frozen=True)
@@ -54,23 +61,23 @@ def run_daif_day(
     orders: pd.DataFrame,
     weights_by_slot: np.ndarray,
     *,
-    P: int,
     width_km: float,
     height_km: float,
     n_vehicles: int,
-    slots: int,
-    cap: int = 2,
-    max_pickup_km: float = 2.5,
-    seed: int = 0,
 ) -> RoutePlanMetrics:
     """Run one day of insertion-based route planning.
 
     ``orders`` must carry continuous coordinates (columns x, y, dest_x,
     dest_y, slot). ``weights_by_slot`` is the (slots, P*P) forecast-derived
-    repositioning weight. Deterministic in ``seed`` (initial vehicle
-    placement only).
+    repositioning weight, one row per slot of the day; its width fixes the
+    positioning lattice and must be a square. Deterministic: the initial
+    vehicle placement is drawn with ``SEED``.
     """
-    rng = np.random.default_rng(seed)
+    slots, ncells = weights_by_slot.shape
+    P = math.isqrt(ncells)
+    if P * P != ncells:
+        raise ValueError(f"weights_by_slot has {ncells} columns, not a square P*P lattice")
+    rng = np.random.default_rng(SEED)
     pos = np.column_stack(
         [rng.random(n_vehicles) * width_km, rng.random(n_vehicles) * height_km]
     )
@@ -105,12 +112,11 @@ def run_daif_day(
             if not queues[v]:
                 tails[v] = pos[v]
         # 2. move idle vehicles toward forecast-hot cells (speed-limited)
-        idle = np.flatnonzero(
-            (open_reqs == 0) & np.array([not q for q in queues], dtype=bool)
-        )
+        # every queued pickup has its drop queued: no open request, no queue
+        idle = np.flatnonzero(open_reqs == 0)
         if idle.size:
             alloc = allocate(weights_by_slot[t], idle.size)
-            targets = centers[np.repeat(np.arange(P * P), alloc)]
+            targets = centers[np.repeat(np.arange(ncells), alloc)]
             step = targets - pos[idle]
             d = np.hypot(step[:, 0], step[:, 1])
             scale = np.minimum(1.0, budget / np.maximum(d, 1e-12))
@@ -125,7 +131,7 @@ def run_daif_day(
         for r in g.itertuples(index=False):
             ox, oy = float(r.x), float(r.y)
             pick = np.hypot(tails[:, 0] - ox, tails[:, 1] - oy)
-            feas = (open_reqs < cap) & (pick <= max_pickup_km + budget * (qlen // 2))
+            feas = (open_reqs < CAP) & (pick <= MAX_PICKUP_KM + budget * (qlen // 2))
             if not feas.any():
                 continue
             cand = np.flatnonzero(feas)

@@ -56,17 +56,17 @@ class TestSplits:
 
 
 def test_load_city_caches_and_counts(spark):
-    st = Settings(sf=0.002, N_side=16, days=9)
+    st = Settings(sf=0.002, N_side=16)
     data = load_city(spark, "xian", st)
     try:
         assert data.cfg is CITIES["xian"]
         n = data.events.count()
         assert n > 0
         assert data.events.is_cached
-        weekdays = sum(1 for d in range(9) if d % 7 < 5)
+        weekdays = sum(1 for d in range(st.days) if d % 7 < 5)
         approx = CITIES["xian"].daily_orders * 0.002
         assert n == pytest.approx(
-            approx * (weekdays + (9 - weekdays) * CITIES["xian"].weekend_factor),
+            approx * (weekdays + (st.days - weekdays) * CITIES["xian"].weekend_factor),
             rel=0.15,
         )
     finally:

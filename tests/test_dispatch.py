@@ -73,11 +73,6 @@ def _spark_day_orders(events, cfg, *, day, P):
     df = (
         with_grid_ids(events.where(F.col("day") == day), spec)
         .withColumnRenamed("hgrid", "cell")
-        .drop("fx", "fy", "mgrid")
-    )
-    df = (
-        with_grid_ids(df, spec, x="dest_x", y="dest_y")
-        .withColumnRenamed("hgrid", "dest_cell")
         .withColumn(
             "trip_km",
             F.sqrt(
@@ -87,7 +82,7 @@ def _spark_day_orders(events, cfg, *, day, P):
         )
     )
     return df.select(
-        "slot", "cell", "dest_cell", "trip_km", "revenue", "x", "y", "dest_x", "dest_y"
+        "slot", "cell", "trip_km", "revenue", "x", "y", "dest_x", "dest_y"
     ).toPandas()
 
 
@@ -109,7 +104,6 @@ class TestDayOrders:
 
     def test_cells_in_range(self, orders):
         assert orders["cell"].between(0, 255).all()
-        assert orders["dest_cell"].between(0, 255).all()
 
     def test_trip_km_consistent(self, orders):
         d = np.hypot(
@@ -140,7 +134,6 @@ def _tiny_orders():
         {
             "slot": [0, 0, 0, 1, 1],
             "cell": [0, 0, 3, 1, 1],
-            "dest_cell": [1, 2, 0, 3, 3],
             "trip_km": [1.0, 2.0, 30.0, 1.0, 1.0],
             "revenue": [10.0, 5.0, 20.0, 7.0, 3.0],
         }
@@ -153,7 +146,7 @@ class TestSimulateDay:
         w = np.zeros((2, 4))
         w[0, 0], w[0, 3] = 2, 1
         w[1, 1] = 2
-        m = simulate_day(orders, w, P=2, n_drivers=5, slots=2)
+        m = simulate_day(orders, w, n_drivers=5)
         assert m.served == 5 and m.arrived == 5
         assert m.revenue == pytest.approx(45.0)
 
@@ -161,14 +154,14 @@ class TestSimulateDay:
         orders = _tiny_orders()
         w = np.zeros((2, 4))
         w[:, 2] = 1.0  # all drivers sent to a cell with no demand
-        m = simulate_day(orders, w, P=2, n_drivers=5, slots=2)
+        m = simulate_day(orders, w, n_drivers=5)
         assert m.served == 0 and m.revenue == 0.0
 
     def test_capacity_binds_highest_revenue_first(self):
         orders = _tiny_orders()
         w = np.zeros((2, 4))
         w[0, 0] = 1.0
-        m = simulate_day(orders, w, P=2, n_drivers=1, slots=2)
+        m = simulate_day(orders, w, n_drivers=1)
         # one driver in cell 0 at slot 0: serves the 10.0 order, then is busy
         assert m.served == 1 and m.revenue == 10.0
 
@@ -177,34 +170,33 @@ class TestSimulateDay:
             {
                 "slot": [0, 1],
                 "cell": [0, 0],
-                "dest_cell": [0, 0],
                 "trip_km": [100.0, 1.0],  # first trip takes many slots
                 "revenue": [1.0, 1.0],
             }
         )
         w = np.zeros((2, 1))
         w[:, 0] = 1.0
-        m = simulate_day(orders, w, P=1, n_drivers=1, slots=2)
+        m = simulate_day(orders, w, n_drivers=1)
         assert m.served == 1
 
     def test_served_never_exceeds_arrived(self, nyc):
         orders = day_orders(nyc.counts.table, nyc.cfg, day=TESTS.test_day, P=16)
         w = np.ones((TESTS.slots, 256))
-        m = simulate_day(orders, w, P=16, n_drivers=100, slots=TESTS.slots)
+        m = simulate_day(orders, w, n_drivers=100)
         assert 0 < m.served <= m.arrived == len(orders)
 
     def test_deterministic(self, nyc):
         orders = day_orders(nyc.counts.table, nyc.cfg, day=TESTS.test_day, P=16)
         w = np.ones((TESTS.slots, 256))
-        m1 = simulate_day(orders, w, P=16, n_drivers=80, slots=TESTS.slots)
-        m2 = simulate_day(orders, w, P=16, n_drivers=80, slots=TESTS.slots)
+        m1 = simulate_day(orders, w, n_drivers=80)
+        m2 = simulate_day(orders, w, n_drivers=80)
         assert m1 == m2
 
     def test_more_drivers_serve_no_fewer(self, nyc):
         orders = day_orders(nyc.counts.table, nyc.cfg, day=TESTS.test_day, P=16)
         w = np.ones((TESTS.slots, 256))
-        lo = simulate_day(orders, w, P=16, n_drivers=40, slots=TESTS.slots)
-        hi = simulate_day(orders, w, P=16, n_drivers=400, slots=TESTS.slots)
+        lo = simulate_day(orders, w, n_drivers=40)
+        hi = simulate_day(orders, w, n_drivers=400)
         assert hi.served >= lo.served
 
 

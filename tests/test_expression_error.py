@@ -206,7 +206,7 @@ class TestLocalDriver:
         )
         row = alphas[TESTS.default_slot]
         per = pd.Series(row).groupby(mg).apply(
-            lambda g: expression_error_fast(g.to_numpy(), spec.m).sum()
+            lambda g: expression_error_fast(g.to_numpy(), spec.m, None).sum()
         )
         assert len(per) == spec.n and (per >= 0).all()
         assert total_expression_error_local(row, mg, spec.m) == pytest.approx(

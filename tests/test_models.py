@@ -143,8 +143,13 @@ class TestDmvstSpatialSmoothing:
         assert out[0] == pytest.approx(1.0)  # corner adjacent via padding
 
 
-def test_flat_mlp_subsamples_deterministically():
+def test_flat_mlp_initialisation_is_seeded():
+    """Fits on the full training sample start from weights drawn with
+    ``FlatMLP.seed``: the same seed gives the same forecast, another seed
+    another one."""
     t = _toy_tensor(days=20, slots=12, n=9)
-    m1 = FlatMLP(max_samples=200).fit(t, list(range(14)))
-    m2 = FlatMLP(max_samples=200).fit(t, list(range(14)))
+    m1 = FlatMLP().fit(t, list(range(14)))
+    m2 = FlatMLP().fit(t, list(range(14)))
     np.testing.assert_array_equal(m1.predict(t, 16, 6), m2.predict(t, 16, 6))
+    other = type("OtherSeed", (FlatMLP,), {"seed": 1})().fit(t, list(range(14)))
+    assert not np.array_equal(other.predict(t, 16, 6), m1.predict(t, 16, 6))

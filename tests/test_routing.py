@@ -5,7 +5,7 @@ import pytest
 
 from repro.dispatch.simulator import day_orders
 from repro.experiments.config import TESTS
-from repro.routing.daif import RoutePlanMetrics, _cell_centers, run_daif_day
+from repro.routing.daif import CAP, RoutePlanMetrics, _cell_centers, run_daif_day
 
 
 def _requests(n=20, seed=1, slots=4, w=10.0, h=10.0):
@@ -32,9 +32,7 @@ class TestRunDaifDay:
     def test_metrics_consistent(self):
         reqs = _requests()
         w = np.ones((4, 4))
-        m = run_daif_day(
-            reqs, w, P=2, width_km=10, height_km=10, n_vehicles=5, slots=4
-        )
+        m = run_daif_day(reqs, w, width_km=10, height_km=10, n_vehicles=5)
         assert isinstance(m, RoutePlanMetrics)
         assert 0 <= m.served <= m.arrived == len(reqs)
         assert m.unified_cost == pytest.approx(
@@ -44,40 +42,39 @@ class TestRunDaifDay:
     def test_deterministic(self):
         reqs = _requests()
         w = np.ones((4, 4))
-        kw = dict(P=2, width_km=10, height_km=10, n_vehicles=5, slots=4)
+        kw = dict(width_km=10, height_km=10, n_vehicles=5)
         assert run_daif_day(reqs, w, **kw) == run_daif_day(reqs, w, **kw)
 
     def test_zero_vehicles_serves_nothing(self):
         reqs = _requests()
         m = run_daif_day(
-            reqs, np.ones((4, 4)), P=2, width_km=10, height_km=10,
-            n_vehicles=0, slots=4,
+            reqs, np.ones((4, 4)), width_km=10, height_km=10, n_vehicles=0
         )
         assert m.served == 0 and m.travel_km == 0.0
 
     def test_more_vehicles_serve_no_fewer(self):
         reqs = _requests(n=60)
         w = np.ones((4, 4))
-        kw = dict(P=2, width_km=10, height_km=10, slots=4)
+        kw = dict(width_km=10, height_km=10)
         lo = run_daif_day(reqs, w, n_vehicles=2, **kw)
         hi = run_daif_day(reqs, w, n_vehicles=30, **kw)
         assert hi.served >= lo.served
 
     def test_capacity_limits_concurrent_requests(self):
-        # 5 simultaneous co-located requests, one vehicle with cap=2:
-        # only 2 can be inserted in the slot
+        # 5 simultaneous requests at the centre of the one P = 1 cell, where
+        # the single vehicle is repositioned: only CAP of them are inserted
+        assert CAP == 2
         reqs = pd.DataFrame(
             {
                 "slot": [0] * 5,
-                "x": [1.0] * 5,
-                "y": [1.0] * 5,
+                "x": [5.0] * 5,
+                "y": [5.0] * 5,
                 "dest_x": [9.0] * 5,
                 "dest_y": [9.0] * 5,
             }
         )
         m = run_daif_day(
-            reqs, np.ones((1, 1)), P=1, width_km=10, height_km=10,
-            n_vehicles=1, slots=1, cap=2, max_pickup_km=100.0,
+            reqs, np.ones((1, 1)), width_km=10, height_km=10, n_vehicles=1
         )
         assert m.served == 2
 
@@ -88,18 +85,21 @@ class TestRunDaifDay:
         # vehicle forced to the opposite corner via hot-cell weights
         w = np.zeros((1, 4))
         w[0, 0] = 1.0
-        m = run_daif_day(
-            reqs, w, P=2, width_km=60, height_km=60, n_vehicles=1, slots=1,
-            max_pickup_km=1.0, seed=3,
-        )
+        m = run_daif_day(reqs, w, width_km=60, height_km=60, n_vehicles=1)
         assert m.served == 0
+
+    def test_rejects_non_square_lattice(self):
+        with pytest.raises(ValueError, match="square"):
+            run_daif_day(
+                _requests(), np.ones((4, 3)), width_km=10, height_km=10, n_vehicles=5
+            )
 
     def test_runs_on_real_city_day(self, nyc):
         orders = day_orders(nyc.counts.table, nyc.cfg, day=TESTS.test_day, P=16)
         w = np.ones((TESTS.slots, 256))
         m = run_daif_day(
-            orders, w, P=16, width_km=nyc.cfg.width_km,
-            height_km=nyc.cfg.height_km, n_vehicles=25, slots=TESTS.slots,
+            orders, w, width_km=nyc.cfg.width_km,
+            height_km=nyc.cfg.height_km, n_vehicles=25,
         )
         assert 0 < m.served <= m.arrived
         assert m.travel_km > 0
