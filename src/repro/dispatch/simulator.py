@@ -13,7 +13,8 @@ does). Each 30-minute slot:
 2. **Matching** (stage 2): orders of the slot are matched to idle drivers
    *in the same cell* — the cell size plays the role of the pickup-radius
    constraint; highest-revenue orders are served first when capacity
-   binds.
+   binds. :func:`matched` is this rule (a cell serves its first
+   ``alloc[c]`` orders); Table IV's optimal ratio counts the same rule.
 3. Matched drivers are busy for ``ceil(trip_km / KM_PER_SLOT)`` slots and
    are then repositioned freely, like every idle driver.
 
@@ -93,6 +94,17 @@ def allocate(weights: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
+def matched(alloc: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Mask of the orders served when cell ``c`` serves its first
+    ``alloc[c]`` orders: each order's rank among the earlier orders of its
+    cell (a stable sort keeps the given order) against its cell's drivers."""
+    order = np.argsort(cells, kind="stable")
+    grouped = cells[order]
+    rank = np.empty(cells.size, dtype=int)
+    rank[order] = np.arange(cells.size) - np.searchsorted(grouped, grouped)
+    return rank < alloc[cells]
+
+
 def simulate_day(
     orders: pd.DataFrame,
     weights_by_slot: np.ndarray,
@@ -123,16 +135,8 @@ def simulate_day(
         g = by_slot.get(t)
         if g is None:
             continue
-        cells = g["cell"].to_numpy(int)
-        cap = alloc.copy()
-        take = np.zeros(len(g), dtype=bool)
-        for i, c in enumerate(cells):
-            if cap[c] > 0:
-                cap[c] -= 1
-                take[i] = True
+        take = matched(alloc, g["cell"].to_numpy(int))
         k = int(take.sum())
-        if k == 0:
-            continue
         taken = g[take]
         served += k
         revenue += float(taken["revenue"].sum())

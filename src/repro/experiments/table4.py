@@ -26,7 +26,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.search import brute_force, iterative_method, ternary_search
 from repro.core.upper_bound import UpperBoundEvaluator
-from repro.dispatch.simulator import allocate, day_orders, spread_to_cells
+from repro.dispatch.simulator import allocate, day_orders, matched, spread_to_cells
 from repro.experiments.config import ITERATIVE_B, CityData
 from repro.models import DeepSTLike
 
@@ -78,8 +78,7 @@ def run_table4(
         tensor = data.counts.tensor(s)
         pred = DeepSTLike().fit(tensor, st.train_days, slot).predict(tensor, st.test_day, slot)
         alloc = allocate(spread_to_cells(pred, data.counts.spec(s), P), n_drivers)
-        demand = np.bincount(cells_by_slot.get(slot, np.empty(0, dtype=int)), minlength=P * P)
-        return int(np.minimum(alloc, demand).sum())
+        return int(matched(alloc, cells_by_slot.get(slot, np.empty(0, dtype=int))).sum())
 
     optimal = found["Brute-force Search"]
     rows = []

@@ -37,12 +37,9 @@ class DmvstLike(DeepSTLike):
         self.bias_: np.ndarray | None = None
 
     def _features(self, tensor: np.ndarray, day: int, slot: int) -> np.ndarray:
-        base = super()._features(tensor, day, slot)  # (n, 4)
-        n = base.shape[0]
-        side = int(round(np.sqrt(n)))
+        base = super()._features(tensor, day, slot)  # (n, 4), n = side * side
         period = period_values(tensor, day, slot, self.period_days).mean(0)
-        spatial = _smooth_3x3(period, side) if side * side == n else period
-        return np.column_stack([base, spatial])
+        return np.column_stack([base, _smooth_3x3(period, int(round(np.sqrt(base.shape[0]))))])
 
     def fit(
         self, tensor: np.ndarray, train_days: list[int], slot: int | None = None

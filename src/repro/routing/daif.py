@@ -8,16 +8,22 @@ cells the per-MGrid forecast (spread uniformly, as always) marks as hot.
 Metrics match Table III: number of served requests and the unified cost
 (total travel distance + ``PENALTY_KM`` per unserved request).
 
-World model per 30-minute slot:
+Each vehicle's plan is its first ``n`` rows of a ``(2 * CAP, 2)`` stop
+array: FIFO (pickup, drop) pairs, maybe behind one drop whose pickup is done.
+So a vehicle has ``(n + 1) // 2`` open requests, is idle when ``n == 0``, and
+its route tail is its last stop (its position when idle). World model per
+30-minute slot:
 
-1. vehicles advance along their stop queues at ``SPEED_KMH``;
+1. all vehicles advance along their plans at ``SPEED_KMH`` together, one
+   stop per round, for at most ``2 * CAP`` rounds;
 2. idle vehicles move (speed-limited) toward forecast-hot cells — the same
    largest-remainder allocation as the dispatch simulator;
 3. each new request is appended (origin then destination) to the feasible
    vehicle with the smallest detour, where feasible means the vehicle
    carries < ``CAP`` open requests and its route tail is within
    ``MAX_PICKUP_KM`` (plus a backlog allowance); infeasible requests are
-   rejected. The candidate scan is vectorised over the fleet.
+   rejected. Requests are inserted in turn, each by a masked argmin over
+   the fleet.
 """
 import math
 from dataclasses import dataclass
@@ -29,6 +35,8 @@ from repro.dispatch.simulator import allocate
 
 SPEED_KMH = 30.0
 SLOT_HOURS = 0.5  # 30-minute slots
+#: km of travel per vehicle per slot
+SLOT_KM = SPEED_KMH * SLOT_HOURS
 #: unified-cost charge for each rejected request, in km of travel
 PENALTY_KM = 15.0
 #: concurrent open requests per vehicle
@@ -57,6 +65,12 @@ def _cell_centers(P: int, width: float, height: float) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
+def _pickup_radius(n: np.ndarray) -> np.ndarray:
+    """Pickup radius (km) around the tail of an ``n``-stop plan: ``MAX_PICKUP_KM``
+    plus ``SLOT_KM`` per two stops queued, or -1 for a full vehicle."""
+    return np.where((n + 1) // 2 < CAP, MAX_PICKUP_KM + SLOT_KM * (n // 2), -1.0)
+
+
 def run_daif_day(
     orders: pd.DataFrame,
     weights_by_slot: np.ndarray,
@@ -81,68 +95,53 @@ def run_daif_day(
     pos = np.column_stack(
         [rng.random(n_vehicles) * width_km, rng.random(n_vehicles) * height_km]
     )
-    budget = SPEED_KMH * SLOT_HOURS  # km of travel per vehicle per slot
-    queues: list[list[tuple[np.ndarray, bool]]] = [[] for _ in range(n_vehicles)]
-    open_reqs = np.zeros(n_vehicles, dtype=int)
-    tails = pos.copy()  # end of each vehicle's planned route
+    stops = np.zeros((n_vehicles, 2 * CAP, 2))  # vehicle v's plan: stops[v, :n[v]]
+    n = np.zeros(n_vehicles, dtype=int)
     centers = _cell_centers(P, width_km, height_km)
+    requests = orders[["x", "y", "dest_x", "dest_y"]].to_numpy(float)
     served = 0
     travel = 0.0
-    by_slot = dict(iter(orders.groupby("slot")))
     for t in range(slots):
-        # 1. advance vehicles along their queues
-        for v in range(n_vehicles):
-            if not queues[v]:
-                continue
-            left = budget
-            while queues[v] and left > 0:
-                stop, is_drop = queues[v][0]
-                d = float(np.hypot(*(stop - pos[v])))
-                if d <= left:
-                    pos[v] = stop
-                    travel += d
-                    left -= d
-                    queues[v].pop(0)
-                    if is_drop:
-                        open_reqs[v] -= 1
-                else:
-                    pos[v] = pos[v] + (stop - pos[v]) * (left / max(d, 1e-12))
-                    travel += left
-                    left = 0.0
-            if not queues[v]:
-                tails[v] = pos[v]
+        # 1. advance vehicles along their plans; round r's km in column r, so
+        # the vehicle-major running sum adds them in the stop-by-stop order
+        left = np.full(n_vehicles, SLOT_KM)
+        km = np.zeros((n_vehicles, 2 * CAP))
+        for r in range(2 * CAP):
+            go = np.flatnonzero((n > 0) & (left > 0))
+            step = stops[go, 0] - pos[go]
+            d = np.hypot(step[:, 0], step[:, 1])
+            km[go, r] = np.minimum(d, left[go])  # the whole leg, or what is left
+            arrive = d <= left[go]
+            part = pos[go] + step * (km[go, r] / np.maximum(d, 1e-12))[:, None]
+            pos[go] = np.where(arrive[:, None], stops[go, 0], part)
+            left[go] -= km[go, r]
+            done = go[arrive]
+            stops[done, :-1] = stops[done, 1:]
+            n[done] -= 1
+        travel = float(np.add.accumulate(np.append(travel, km))[-1])
         # 2. move idle vehicles toward forecast-hot cells (speed-limited)
-        # every queued pickup has its drop queued: no open request, no queue
-        idle = np.flatnonzero(open_reqs == 0)
+        idle = np.flatnonzero(n == 0)
         if idle.size:
             alloc = allocate(weights_by_slot[t], idle.size)
             targets = centers[np.repeat(np.arange(ncells), alloc)]
             step = targets - pos[idle]
             d = np.hypot(step[:, 0], step[:, 1])
-            scale = np.minimum(1.0, budget / np.maximum(d, 1e-12))
+            scale = np.minimum(1.0, SLOT_KM / np.maximum(d, 1e-12))
             pos[idle] = pos[idle] + step * scale[:, None]
-            travel += float(np.minimum(d, budget).sum())
-            tails[idle] = pos[idle]
-        # 3. vectorised greedy min-detour insertion
-        g = by_slot.get(t)
-        if g is None:
-            continue
-        qlen = np.array([len(q) for q in queues])
-        for r in g.itertuples(index=False):
-            ox, oy = float(r.x), float(r.y)
-            pick = np.hypot(tails[:, 0] - ox, tails[:, 1] - oy)
-            feas = (open_reqs < CAP) & (pick <= MAX_PICKUP_KM + budget * (qlen // 2))
+            travel += float(np.minimum(d, SLOT_KM).sum())
+        # 3. insert each request at the feasible vehicle with the nearest tail
+        tx, ty = np.where((n > 0)[:, None], stops[np.arange(n_vehicles), n - 1], pos).T.copy()
+        radius = _pickup_radius(n)
+        for ox, oy, dx, dy in requests[orders["slot"].to_numpy() == t].tolist():
+            pick = np.hypot(tx - ox, ty - oy)
+            feas = pick <= radius
             if not feas.any():
                 continue
-            cand = np.flatnonzero(feas)
-            v = int(cand[np.argmin(pick[cand])])
-            o = np.array([ox, oy])
-            dpt = np.array([float(r.dest_x), float(r.dest_y)])
-            queues[v].append((o, False))
-            queues[v].append((dpt, True))
-            open_reqs[v] += 1
-            qlen[v] += 2
-            tails[v] = dpt
+            v = int(np.argmin(np.where(feas, pick, np.inf)))
+            stops[v, n[v] : n[v] + 2] = (ox, oy), (dx, dy)
+            n[v] += 2
+            tx[v], ty[v] = dx, dy
+            radius[v] = _pickup_radius(n[v])
             served += 1
     arrived = len(orders)
     return RoutePlanMetrics(

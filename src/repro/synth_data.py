@@ -150,8 +150,8 @@ def true_cell_means(
 def taxi_trips_pdf(
     cfg: CityConfig,
     *,
-    sf: float = 0.01,
-    days: int = 33,
+    sf: float,
+    days: int,
     slots: int = SLOTS_PER_DAY,
     seed: int | None = None,
 ) -> pd.DataFrame:
@@ -208,8 +208,8 @@ def taxi_trips(
     spark: SparkSession,
     cfg: CityConfig,
     *,
-    sf: float = 0.01,
-    days: int = 33,
+    sf: float,
+    days: int,
     slots: int = SLOTS_PER_DAY,
     seed: int | None = None,
 ) -> DataFrame:

@@ -10,6 +10,7 @@ from repro.dispatch.polar import polar_weights
 from repro.dispatch.simulator import (
     allocate,
     day_orders,
+    matched,
     simulate_day,
     spread_to_cells,
 )
@@ -127,6 +128,52 @@ class TestDayOrders:
             """,
             events=nyc_pdf,
         )
+
+
+def _capacity_loop(alloc, cells):
+    """The per-order loop ``matched`` replaced, kept as its oracle: walk the
+    orders in turn, each taking one of its cell's remaining drivers."""
+    cap = alloc.copy()
+    take = np.zeros(len(cells), dtype=bool)
+    for i, c in enumerate(cells):
+        if cap[c] > 0:
+            cap[c] -= 1
+            take[i] = True
+    return take
+
+
+class TestMatched:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_capacity_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        ncells = int(rng.integers(1, 30))
+        cells = rng.integers(0, ncells, int(rng.integers(0, 200)))
+        alloc = rng.integers(0, 6, ncells)
+        np.testing.assert_array_equal(matched(alloc, cells), _capacity_loop(alloc, cells))
+
+    def test_no_orders(self):
+        got = matched(np.array([2, 0, 1]), np.empty(0, dtype=int))
+        assert got.dtype == bool and got.size == 0
+
+    def test_all_zero_alloc_serves_nothing(self):
+        cells = np.array([0, 2, 2, 1, 0])
+        assert not matched(np.zeros(3, dtype=int), cells).any()
+
+    def test_one_cell_serves_its_first_orders(self):
+        cells = np.full(7, 3)
+        alloc = np.array([5, 5, 5, 4])
+        np.testing.assert_array_equal(matched(alloc, cells), [True] * 4 + [False] * 3)
+        np.testing.assert_array_equal(matched(alloc, cells), _capacity_loop(alloc, cells))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_count_equals_capped_demand(self, seed):
+        """Table IV's former per-cell count: min(drivers, orders) per cell."""
+        rng = np.random.default_rng(seed)
+        P = int(rng.integers(1, 9))
+        cells = rng.integers(0, P * P, int(rng.integers(0, 300)))
+        alloc = allocate(rng.random(P * P), int(rng.integers(0, 100)))
+        want = np.minimum(alloc, np.bincount(cells, minlength=P * P)).sum()
+        assert int(matched(alloc, cells).sum()) == want
 
 
 def _tiny_orders():

@@ -3,9 +3,17 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.dispatch.simulator import day_orders
+from repro.dispatch.simulator import allocate, day_orders
 from repro.experiments.config import TESTS
-from repro.routing.daif import CAP, RoutePlanMetrics, _cell_centers, run_daif_day
+from repro.routing.daif import (
+    CAP,
+    MAX_PICKUP_KM,
+    SEED,
+    SLOT_KM,
+    RoutePlanMetrics,
+    _cell_centers,
+    run_daif_day,
+)
 
 
 def _requests(n=20, seed=1, slots=4, w=10.0, h=10.0):
@@ -19,6 +27,66 @@ def _requests(n=20, seed=1, slots=4, w=10.0, h=10.0):
             "dest_y": rng.random(n) * h,
         }
     )
+
+
+def _stop_queue_day(orders, weights_by_slot, *, width_km, height_km, n_vehicles):
+    """The stop-by-stop planner ``run_daif_day`` replaced, kept as its oracle:
+    a list of (stop, is_drop) per vehicle, walked one vehicle at a time, and
+    one ``itertuples`` row inserted at a time. Returns (served, travel_km)."""
+    slots, ncells = weights_by_slot.shape
+    rng = np.random.default_rng(SEED)
+    pos = np.column_stack(
+        [rng.random(n_vehicles) * width_km, rng.random(n_vehicles) * height_km]
+    )
+    queues = [[] for _ in range(n_vehicles)]
+    open_reqs = np.zeros(n_vehicles, dtype=int)
+    tails = pos.copy()
+    centers = _cell_centers(int(round(ncells**0.5)), width_km, height_km)
+    served, travel = 0, 0.0
+    by_slot = dict(iter(orders.groupby("slot")))
+    for t in range(slots):
+        for v in range(n_vehicles):
+            left = SLOT_KM
+            while queues[v] and left > 0:
+                stop, is_drop = queues[v][0]
+                d = float(np.hypot(*(stop - pos[v])))
+                if d <= left:
+                    pos[v] = stop
+                    travel += d
+                    left -= d
+                    queues[v].pop(0)
+                    open_reqs[v] -= is_drop
+                else:
+                    pos[v] = pos[v] + (stop - pos[v]) * (left / max(d, 1e-12))
+                    travel += left
+                    left = 0.0
+            if not queues[v]:
+                tails[v] = pos[v]
+        idle = np.flatnonzero(open_reqs == 0)
+        if idle.size:
+            alloc = allocate(weights_by_slot[t], idle.size)
+            step = centers[np.repeat(np.arange(ncells), alloc)] - pos[idle]
+            d = np.hypot(step[:, 0], step[:, 1])
+            pos[idle] = pos[idle] + step * np.minimum(1.0, SLOT_KM / np.maximum(d, 1e-12))[:, None]
+            travel += float(np.minimum(d, SLOT_KM).sum())
+            tails[idle] = pos[idle]
+        if t not in by_slot:
+            continue
+        qlen = np.array([len(q) for q in queues], dtype=int)
+        for r in by_slot[t].itertuples(index=False):
+            pick = np.hypot(tails[:, 0] - r.x, tails[:, 1] - r.y)
+            feas = (open_reqs < CAP) & (pick <= MAX_PICKUP_KM + SLOT_KM * (qlen // 2))
+            if not feas.any():
+                continue
+            cand = np.flatnonzero(feas)
+            v = int(cand[np.argmin(pick[cand])])
+            dpt = np.array([r.dest_x, r.dest_y], dtype=float)
+            queues[v] += [(np.array([r.x, r.y], dtype=float), False), (dpt, True)]
+            open_reqs[v] += 1
+            qlen[v] += 2
+            tails[v] = dpt
+            served += 1
+    return served, travel
 
 
 def test_cell_centers():
@@ -93,6 +161,31 @@ class TestRunDaifDay:
             run_daif_day(
                 _requests(), np.ones((4, 3)), width_km=10, height_km=10, n_vehicles=5
             )
+
+    @pytest.mark.parametrize(
+        "n_vehicles, served, travel_km",
+        [(3, 18, 271.01920265627297), (8, 56, 747.2900134279904), (40, 248, 3348.850764893276)],
+    )
+    def test_exact_outcome(self, n_vehicles, served, travel_km):
+        """Served count and travel are pinned bit for bit: the km of every
+        stop reached is summed in the same order as the stop-by-stop walk."""
+        reqs = _requests(n=400, seed=3, slots=6, w=20.0, h=20.0)
+        w = np.random.default_rng(4).random((6, 9))
+        m = run_daif_day(reqs, w, width_km=20.0, height_km=20.0, n_vehicles=n_vehicles)
+        assert (m.served, m.travel_km) == (served, travel_km)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_stop_queue_oracle(self, seed):
+        """Served count and travel equal the stop-by-stop walk exactly, on
+        random days, lattices and fleets (zero vehicles included)."""
+        rng = np.random.default_rng(seed)
+        slots, P = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+        w, h = rng.uniform(2, 40, 2)
+        reqs = _requests(int(rng.integers(0, 300)), seed, slots, w, h)
+        weights = rng.random((slots, P * P)) * (rng.random((slots, P * P)) > 0.3)
+        kw = dict(width_km=w, height_km=h, n_vehicles=int(rng.integers(0, 12)))
+        m = run_daif_day(reqs, weights, **kw)
+        assert (m.served, m.travel_km) == _stop_queue_day(reqs, weights, **kw)
 
     def test_runs_on_real_city_day(self, nyc):
         orders = day_orders(nyc.counts.table, nyc.cfg, day=TESTS.test_day, P=16)
