@@ -22,8 +22,21 @@ its route tail is its last stop (its position when idle). World model per
    vehicle with the smallest detour, where feasible means the vehicle
    carries < ``CAP`` open requests and its route tail is within
    ``MAX_PICKUP_KM`` (plus a backlog allowance); infeasible requests are
-   rejected. Requests are inserted in turn, each by a masked argmin over
-   the fleet.
+   rejected; ties go to the lowest vehicle index. Requests are inserted in
+   turn, ``WINDOW`` at a time, with the outcome of one masked argmin over
+   the fleet per request, bit for bit. A window builds two distance
+   matrices, ``inf`` where out of range: the route tails of the vehicles
+   not yet full to the window's origins (range: each vehicle's radius), and
+   the window's drops to its origins (range: ``MAX_PICKUP_KM + SLOT_KM``).
+   It also counts each request's feasible vehicles. The next request with
+   a nonzero count goes to its column's argmin; those skipped on the way
+   have no feasible vehicle and are rejected. An insertion changes one
+   vehicle: with ``CAP == 2`` it is now full (its row becomes ``inf``), or
+   it was idle and now has the request's drop as its tail and
+   ``MAX_PICKUP_KM + SLOT_KM`` as its radius (its row becomes the drop's
+   row of the second matrix); the counts follow. No vehicle stops being
+   full within a slot, so each request sees the tails and radii that
+   one-at-a-time insertion shows it.
 """
 import math
 from dataclasses import dataclass
@@ -45,6 +58,11 @@ CAP = 2
 MAX_PICKUP_KM = 2.5
 #: seed of the initial vehicle placement
 SEED = 0
+#: requests per window of step 3
+WINDOW = 32
+#: the one pickup radius a vehicle can have after an insertion: with
+#: CAP = 2 only an idle vehicle (0 -> 2 stops) is not full afterwards
+_REFILL_KM = MAX_PICKUP_KM + SLOT_KM
 
 
 @dataclass(frozen=True)
@@ -69,6 +87,59 @@ def _pickup_radius(n: np.ndarray) -> np.ndarray:
     """Pickup radius (km) around the tail of an ``n``-stop plan: ``MAX_PICKUP_KM``
     plus ``SLOT_KM`` per two stops queued, or -1 for a full vehicle."""
     return np.where((n + 1) // 2 < CAP, MAX_PICKUP_KM + SLOT_KM * (n // 2), -1.0)
+
+
+def _masked_hypot(a: np.ndarray, b: np.ndarray, radius: float | np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) distances from points ``a`` to points ``b``, ``inf``
+    where not within ``radius`` (NaN included, as ``NaN <= r`` is False)."""
+    d = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
+    d[~(d <= radius)] = np.inf
+    return d
+
+
+def _insert(requests: np.ndarray, stops: np.ndarray, n: np.ndarray, pos: np.ndarray) -> int:
+    """Step 3 for one slot: insert ``requests`` (rows x, y, dest_x, dest_y)
+    in turn, each at the feasible vehicle with the nearest route tail (the
+    lowest index among equals), updating ``stops`` and ``n`` in place.
+    Returns the number inserted."""
+    radius = _pickup_radius(n)
+    tail = np.where((n > 0)[:, None], stops[np.arange(len(n)), n - 1], pos)
+    served = 0
+    for w in range(0, len(requests), WINDOW):
+        act = np.flatnonzero(radius > 0)
+        if not act.size:
+            break  # every vehicle is full for the rest of the slot
+        win = requests[w : w + WINDOW]
+        pick = _masked_hypot(tail[act], win[:, :2], radius[act, None])
+        refill = _masked_hypot(win[:, 2:], win[:, :2], _REFILL_KM)
+        ok, refill_ok = pick < np.inf, refill < np.inf
+        count = ok.sum(axis=0)  # feasible vehicles per request
+        na = n[act].tolist()
+        took, at, req = [], [], []
+        k = 0
+        while (ahead := count[k:].nonzero()[0]).size:
+            k += int(ahead[0])
+            a = int(pick[:, k].argmin())
+            count -= ok[a]
+            if na[a] == 0:  # was idle: open, with request k's drop as its tail
+                pick[a], ok[a] = refill[k], refill_ok[k]
+                count += ok[a]
+            else:  # now full
+                pick[a], ok[a] = np.inf, False
+            took.append(a)
+            at.append(na[a])
+            req.append(k)
+            na[a] += 2
+            k += 1
+        if took:
+            v, at = act[took], np.array(at)
+            stops[v, at] = win[req, :2]
+            stops[v, at + 1] = win[req, 2:]
+            n[act] = na
+            tail[v] = stops[v, n[v] - 1]
+            radius[v] = _pickup_radius(n[v])
+            served += len(took)
+    return served
 
 
 def run_daif_day(
@@ -99,6 +170,7 @@ def run_daif_day(
     n = np.zeros(n_vehicles, dtype=int)
     centers = _cell_centers(P, width_km, height_km)
     requests = orders[["x", "y", "dest_x", "dest_y"]].to_numpy(float)
+    slot = orders["slot"].to_numpy()
     served = 0
     travel = 0.0
     for t in range(slots):
@@ -129,20 +201,8 @@ def run_daif_day(
             scale = np.minimum(1.0, SLOT_KM / np.maximum(d, 1e-12))
             pos[idle] = pos[idle] + step * scale[:, None]
             travel += float(np.minimum(d, SLOT_KM).sum())
-        # 3. insert each request at the feasible vehicle with the nearest tail
-        tx, ty = np.where((n > 0)[:, None], stops[np.arange(n_vehicles), n - 1], pos).T.copy()
-        radius = _pickup_radius(n)
-        for ox, oy, dx, dy in requests[orders["slot"].to_numpy() == t].tolist():
-            pick = np.hypot(tx - ox, ty - oy)
-            feas = pick <= radius
-            if not feas.any():
-                continue
-            v = int(np.argmin(np.where(feas, pick, np.inf)))
-            stops[v, n[v] : n[v] + 2] = (ox, oy), (dx, dy)
-            n[v] += 2
-            tx[v], ty[v] = dx, dy
-            radius[v] = _pickup_radius(n[v])
-            served += 1
+        # 3. insert the slot's requests, ``WINDOW`` at a time
+        served += _insert(requests[slot == t], stops, n, pos)
     arrived = len(orders)
     return RoutePlanMetrics(
         served=served,

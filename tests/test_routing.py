@@ -5,6 +5,7 @@ import pytest
 
 from repro.dispatch.simulator import allocate, day_orders
 from repro.experiments.config import TESTS
+from repro.routing import daif
 from repro.routing.daif import (
     CAP,
     MAX_PICKUP_KM,
@@ -12,6 +13,7 @@ from repro.routing.daif import (
     SLOT_KM,
     RoutePlanMetrics,
     _cell_centers,
+    _pickup_radius,
     run_daif_day,
 )
 
@@ -87,6 +89,38 @@ def _stop_queue_day(orders, weights_by_slot, *, width_km, height_km, n_vehicles)
             tails[v] = dpt
             served += 1
     return served, travel
+
+
+def _fleet_argmin_insert(requests, stops, n, pos):
+    """Step 3 without windows, the oracle of ``daif._insert`` (same
+    contract): each request in turn, by one masked argmin over the fleet."""
+    tx, ty = np.where((n > 0)[:, None], stops[np.arange(len(n)), n - 1], pos).T.copy()
+    radius = _pickup_radius(n)
+    served = 0
+    for ox, oy, dx, dy in requests.tolist():
+        pick = np.hypot(tx - ox, ty - oy)
+        feas = pick <= radius
+        if not feas.any():
+            continue
+        v = int(np.argmin(np.where(feas, pick, np.inf)))
+        stops[v, n[v] : n[v] + 2] = (ox, oy), (dx, dy)
+        n[v] += 2
+        tx[v], ty[v] = dx, dy
+        radius[v] = _pickup_radius(n[v])
+        served += 1
+    return served
+
+
+def _fleet_argmin_day(orders, weights_by_slot, **kw):
+    """``run_daif_day`` with ``_fleet_argmin_insert`` as its step 3."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(daif, "_insert", _fleet_argmin_insert)
+        return run_daif_day(orders, weights_by_slot, **kw)
+
+
+def _orders(*rows):
+    """Orders from (slot, x, y, dest_x, dest_y) rows."""
+    return pd.DataFrame(list(rows), columns=["slot", "x", "y", "dest_x", "dest_y"])
 
 
 def test_cell_centers():
@@ -187,12 +221,74 @@ class TestRunDaifDay:
         m = run_daif_day(reqs, weights, **kw)
         assert (m.served, m.travel_km) == _stop_queue_day(reqs, weights, **kw)
 
+    @pytest.mark.parametrize("window", [1, 3, 8, daif.WINDOW])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_windows_equal_fleet_argmin(self, monkeypatch, seed, window):
+        """Windowed insertion equals one masked argmin over the fleet per
+        request, exactly, on days whose slots span several windows and whose
+        coordinates sit on a 0.5 or 2.5 km lattice, so that vehicles on cell
+        centres and route tails tie."""
+        rng = np.random.default_rng(100 + seed)
+        slots, P = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        side, lattice = float(rng.choice([10.0, 20.0, 30.0])), float(rng.choice([0.5, 2.5]))
+        reqs = _requests(int(rng.integers(0, 601)), seed, slots, side, side)
+        xy = ["x", "y", "dest_x", "dest_y"]
+        reqs[xy] = np.round(reqs[xy] / lattice) * lattice
+        weights = rng.random((slots, P * P)) * (rng.random((slots, P * P)) > 0.3)
+        kw = dict(width_km=side, height_km=side, n_vehicles=int(rng.integers(0, 41)))
+        expected = _fleet_argmin_day(reqs, weights, **kw)
+        monkeypatch.setattr(daif, "WINDOW", window)
+        assert run_daif_day(reqs, weights, **kw) == expected
+
+    def test_leg_exactly_the_km_left_is_reached(self):
+        """A leg as long as the km left in the slot ends at its stop: the
+        vehicle is idle again and repositions in the same slot. One vehicle
+        settles on the centre (5, 5) of the one cell in slots 0 and 1, takes
+        a request there to (20, 5) in slot 2, and drives its SLOT_KM leg in
+        slot 3; the slot-3 request at (20, 5) then finds it gone."""
+        reqs = _orders((2, 5.0, 5.0, 20.0, 5.0), (3, 20.0, 5.0, 20.0, 6.0))
+        kw = dict(width_km=10.0, height_km=10.0, n_vehicles=1)
+        m = run_daif_day(reqs, np.ones((4, 1)), **kw)
+        assert (m.served, m.travel_km) == _stop_queue_day(reqs, np.ones((4, 1)), **kw)
+        assert m.served == 1
+
+    def test_equal_distances_go_to_the_lower_index(self):
+        """Vehicles 0 and 1 settle on the cell centres (2.5, 2.5) and
+        (7.5, 2.5); a request midway goes to vehicle 0, which then drives
+        back further than vehicle 1 would."""
+        reqs = _orders((2, 5.0, 2.5, 9.5, 2.5))
+        w = np.tile([1.0, 1.0, 0.0, 0.0], (4, 1))
+        kw = dict(width_km=10.0, height_km=10.0, n_vehicles=2)
+        m = run_daif_day(reqs, w, **kw)
+        assert (m.served, m.travel_km) == _stop_queue_day(reqs, w, **kw)
+        assert m.served == 1
+
+    def test_nan_coordinates_are_never_feasible(self):
+        """A NaN origin is rejected, and a NaN drop leaves its vehicle with
+        no feasible request. Vehicles 0 and 1 sit on (2.5, 2.5) and
+        (7.5, 2.5) in the last slot: vehicle 0 takes the NaN-drop request,
+        vehicle 1 the next one at its feet, and vehicle 1 (radius now
+        MAX_PICKUP_KM + SLOT_KM) the third."""
+        nan = float("nan")
+        rows = [
+            (2, 2.5, 2.5, nan, 2.5),
+            (2, 7.5, 2.5, 7.5, 12.5),
+            (2, 7.5, 25.0, 7.5, 30.0),  # 12.5 km from vehicle 1's new tail
+        ]
+        day = _orders((2, nan, 2.5, 5.0, 5.0), *rows)
+        w = np.tile([1.0, 1.0, 0.0, 0.0], (3, 1))
+        kw = dict(width_km=10.0, height_km=10.0, n_vehicles=2)
+        m = run_daif_day(day, w, **kw)
+        assert (m.served, m.travel_km) == _stop_queue_day(day, w, **kw)
+        without = run_daif_day(_orders(*rows), w, **kw)
+        assert (m.served, m.travel_km) == (without.served, without.travel_km)
+        assert m.served == 3
+
     def test_runs_on_real_city_day(self, nyc):
         orders = day_orders(nyc.counts.table, nyc.cfg, day=TESTS.test_day, P=16)
         w = np.ones((TESTS.slots, 256))
-        m = run_daif_day(
-            orders, w, width_km=nyc.cfg.width_km,
-            height_km=nyc.cfg.height_km, n_vehicles=25,
-        )
+        kw = dict(width_km=nyc.cfg.width_km, height_km=nyc.cfg.height_km, n_vehicles=25)
+        m = run_daif_day(orders, w, **kw)
+        assert m == _fleet_argmin_day(orders, w, **kw)
         assert 0 < m.served <= m.arrived
         assert m.travel_km > 0
