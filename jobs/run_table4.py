@@ -32,6 +32,8 @@ def shape_failures(df) -> list[str]:
     for algo in ("Ternary Search", "Iterative Method"):
         if not by.loc[algo, "bound_calls"] < brute_calls:
             failures.append(f"{city}: {algo} must make fewer bound calls than brute force")
+    if by.loc["Iterative Method", "probability"] < by.loc["Ternary Search", "probability"]:
+        failures.append(f"{city}: the Iterative Method must find the optimum at least as often as ternary search")
     return failures
 
 
@@ -55,7 +57,6 @@ def main() -> None:
         t0 = time.perf_counter()
         df = run_table4(spark, data, slots=slots)
         wall = time.perf_counter() - t0
-        data.events.unpersist()
         if args.slots_stride == COMMITTED_STRIDE:
             df.to_csv(ROOT / "results" / f"table4_{city}.csv", index=False)
         print(f"\n=== Table IV ({city}, {len(slots)} slots): {wall:.1f} s, count fill included ===")

@@ -9,8 +9,9 @@ smallest per-MGrid subdivision satisfying the paper's constraint
 ``fine_side = n_side * m_side`` cells per side (>= N_side), so HGrids are at
 least as small as the reference homogeneous resolution.
 
-Counts are binned in numpy from one collected :class:`EventTable` per city;
-the Catalyst projection :func:`with_grid_ids` is their cell-arithmetic oracle.
+Counts are binned in numpy from one :class:`EventTable` per city, the
+generator's own columns; the Catalyst projection :func:`with_grid_ids` over
+the city's Spark view is their cell-arithmetic oracle.
 """
 from dataclasses import dataclass, fields
 from math import ceil
@@ -124,7 +125,7 @@ _BLOCK_ROWS = 1 << 17
 
 @dataclass(frozen=True)
 class EventTable:
-    """A city's events as driver-side numpy columns, in collection order."""
+    """A city's events as driver-side numpy columns, in generation order."""
 
     day: np.ndarray
     slot: np.ndarray
@@ -133,13 +134,6 @@ class EventTable:
     dest_x: np.ndarray
     dest_y: np.ndarray
     revenue: np.ndarray
-
-    @classmethod
-    def collect(cls, events: DataFrame) -> "EventTable":
-        """One Arrow collect of ``events``, converted to numpy column by column."""
-        names = [f.name for f in fields(cls)]
-        tbl = events.select(*names).toArrow()
-        return cls(**{name: tbl.column(name).to_numpy() for name in names})
 
     def rows(self, sel) -> "EventTable":
         """The rows picked by a mask or slice (a slice gives views)."""

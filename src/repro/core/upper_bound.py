@@ -5,7 +5,7 @@
 per candidate n are count tables: the (days, slots, n) demand tensor and
 the (slots, fine_side^2) alpha table of
 :func:`repro.core.alpha.alpha_by_hgrid`. :class:`GridCounts` bins each with
-``np.bincount`` over the city's one collected event table on first use and
+``np.bincount`` over the city's one event table on first use and
 keeps it for the city (``CityData.counts``), so the evaluator, Table III/IV
 and the error curves share one cache. Per (n, slot) the evaluator trains
 the model fresh and runs the batched Algorithm-2 kernel locally over every
@@ -24,7 +24,7 @@ from repro.core.alpha import alpha_by_hgrid
 from repro.core.expression_error import total_expression_error_local
 from repro.core.grids import EventTable, GridSpec, grid_spec
 from repro.core.model_error import demand_tensor, total_model_error
-from repro.synth_data import CityConfig
+from repro.synth_data import CityConfig, trip_columns
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,9 @@ class UpperBoundResult:
 @dataclass
 class GridCounts:
     """One city's event table and its count tables per grid side: each made
-    on first use (the table by the one Spark collect), then shared read-only."""
+    on first use, then shared read-only. ``events`` must be a
+    :func:`~repro.synth_data.taxi_trips` view; the table is its generated
+    columns, so filling the cache runs no Spark job."""
 
     events: DataFrame
     cfg: CityConfig
@@ -57,8 +59,9 @@ class GridCounts:
 
     @cached_property
     def table(self) -> EventTable:
-        """The events as driver-side columns — the one Spark collect."""
-        return EventTable.collect(self.events)
+        """The events as driver-side columns; ``ValueError`` for a frame
+        :func:`~repro.synth_data.taxi_trips` did not make."""
+        return EventTable(**trip_columns(self.events))
 
     def spec(self, n_side: int) -> GridSpec:
         return grid_spec(self.cfg, n_side, self.N_side)

@@ -47,7 +47,7 @@ def day_orders(
     events: EventTable, cfg: CityConfig, *, day: int, P: int
 ) -> pd.DataFrame:
     """One day's orders on the P-lattice: (slot, cell, trip_km, revenue, x,
-    y, dest_x, dest_y), in the event table's collection order.
+    y, dest_x, dest_y), in the event table's generation order.
     The order is pinned because :func:`simulate_day` sorts each slot by
     revenue with a non-stable sort and then matches greedily: which of two
     equal-revenue orders is served, and so Table III, depends on it."""

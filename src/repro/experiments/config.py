@@ -71,7 +71,7 @@ ITERATIVE_B = 3
 
 @dataclass
 class CityData:
-    """A loaded city: config, cached event frame, splits and count cache."""
+    """A loaded city: config, Spark view of its events, splits and count cache."""
 
     cfg: CityConfig
     events: DataFrame
@@ -84,10 +84,9 @@ class CityData:
 
 
 def load_city(spark: SparkSession, name: str, settings: Settings) -> CityData:
-    """Generate and cache one city's synthetic trips at the given scale."""
+    """Generate one city's synthetic trips at the given scale. The count
+    cache bins the generated columns; the Spark view is read only by the
+    oracles, which rescan its Parquet file."""
     cfg = CITIES[name]
-    ev = taxi_trips(
-        spark, cfg, sf=settings.sf, days=settings.days, slots=settings.slots
-    ).cache()
-    ev.count()  # materialise the cache once
+    ev = taxi_trips(spark, cfg, sf=settings.sf, days=settings.days, slots=settings.slots)
     return CityData(cfg=cfg, events=ev, settings=settings)

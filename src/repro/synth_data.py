@@ -11,10 +11,16 @@ the orderings the paper reports hold: unevenness(NYC) > unevenness(Chengdu)
 scale factor 1. Tests use SF=0.01, benchmarks SF=0.1; generators are
 deterministic in ``seed`` so the DuckDB oracle sees identical input.
 """
+import os
+import uuid
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
+from pyspark import SparkFiles
 from pyspark.sql import DataFrame, SparkSession
 
 
@@ -92,6 +98,20 @@ CITIES = {"nyc": NYC, "chengdu": CHENGDU, "xian": XIAN}
 GEN_SIDE = 128
 SLOTS_PER_DAY = 48  # paper Table II: 30-minute slots
 
+#: the generated columns and their Spark SQL types, in frame order
+COLUMNS = {
+    "day": "INT", "slot": "INT", "x": "DOUBLE", "y": "DOUBLE",
+    "dest_x": "DOUBLE", "dest_y": "DOUBLE", "revenue": "DOUBLE",
+}
+#: generated rows are stored in arrays sized for the expected total plus
+#: this many standard deviations of its Poisson noise (grown if exceeded)
+_CAPACITY_SIGMAS = 8
+#: rows per Parquet row group of a :func:`taxi_trips` file (the writer's
+#: retained buffers grow with it; 2^13 to 2^17 moved peak RSS by < 1 MB)
+_ROW_GROUP_ROWS = 1 << 16
+#: :func:`taxi_trips` frame -> its generated columns (dropped with the frame)
+_VIEW_COLUMNS = weakref.WeakKeyDictionary()
+
 
 def intensity_field(cfg: CityConfig, side: int = GEN_SIDE) -> np.ndarray:
     """Spatial intensity on a ``side x side`` lattice, normalised to sum 1.
@@ -147,21 +167,14 @@ def true_cell_means(
     return intensity_field(cfg, side) * (cfg.daily_orders * sf) * temporal_profile()[slot]
 
 
-def taxi_trips_pdf(
-    cfg: CityConfig,
-    *,
-    sf: float,
-    days: int,
-    slots: int = SLOTS_PER_DAY,
-    seed: int | None = None,
-) -> pd.DataFrame:
-    """Generate a city's trips as pandas (deterministic in ``seed``).
+def _trip_columns(
+    cfg: CityConfig, *, sf: float, days: int, slots: int, seed: int | None
+) -> dict[str, np.ndarray]:
+    """The generated trips as one numpy array per :data:`COLUMNS` entry.
 
-    Columns: ``day`` (0-based, day 0 = Monday), ``slot``, ``x``/``y``
-    (origin, km), ``dest_x``/``dest_y`` (km), ``revenue`` (fare). Counts per
-    (day, slot, cell) are Poisson(intensity x daily volume x slot profile x
-    weekday factor); positions are uniform inside the cell (events are
-    homogeneous below the ``GEN_SIDE`` lattice by construction).
+    Days are written into arrays sized once for the expected total, so no
+    per-day chunks are held and concatenated (their freed heap memory
+    stays resident).
     """
     g = np.random.default_rng(cfg.seed if seed is None else seed)
     fld = intensity_field(cfg)
@@ -169,7 +182,10 @@ def taxi_trips_pdf(
     dayf = day_factors(days, cfg)
     flat = fld.ravel()
     cell_w, cell_h = cfg.width_km / GEN_SIDE, cfg.height_km / GEN_SIDE
-    chunks = []
+    mean = cfg.daily_orders * sf * dayf.sum()  # of the Poisson total (fld and prof sum to 1)
+    rows = max(0, int(mean + _CAPACITY_SIGMAS * np.sqrt(mean)))
+    cols = {c: np.empty(rows, np.int32 if t == "INT" else np.float64) for c, t in COLUMNS.items()}
+    end = 0
     for d in range(days):
         lam = flat[None, :] * (cfg.daily_orders * sf * dayf[d]) * prof[:, None]
         counts = g.poisson(lam)  # (slots, GEN_SIDE**2)
@@ -188,20 +204,35 @@ def taxi_trips_pdf(
         dy = (dest // GEN_SIDE + g.random(n)) * cell_h
         dist = np.hypot(dx - x, dy - y)
         revenue = 2.5 + 1.8 * dist * (1.0 + 0.2 * g.standard_normal(n))
-        chunks.append(
-            pd.DataFrame(
-                {
-                    "day": np.full(n, d, dtype=np.int32),
-                    "slot": slot_col.astype(np.int32),
-                    "x": x,
-                    "y": y,
-                    "dest_x": dx,
-                    "dest_y": dy,
-                    "revenue": np.maximum(revenue, 1.0).round(2),
-                }
-            )
-        )
-    return pd.concat(chunks, ignore_index=True)
+        if end + n > cols["day"].size:
+            cols = {c: np.resize(v, 2 * (end + n)) for c, v in cols.items()}
+        day_rows = slice(end, end + n)
+        for c, v in (
+            ("day", d), ("slot", slot_col), ("x", x), ("y", y), ("dest_x", dx), ("dest_y", dy),
+            ("revenue", np.maximum(revenue, 1.0).round(2)),
+        ):
+            cols[c][day_rows] = v
+        end += n
+    return {c: v[:end] for c, v in cols.items()}
+
+
+def taxi_trips_pdf(
+    cfg: CityConfig,
+    *,
+    sf: float,
+    days: int,
+    slots: int = SLOTS_PER_DAY,
+    seed: int | None = None,
+) -> pd.DataFrame:
+    """Generate a city's trips as pandas (deterministic in ``seed``).
+
+    Columns: ``day`` (0-based, day 0 = Monday), ``slot``, ``x``/``y``
+    (origin, km), ``dest_x``/``dest_y`` (km), ``revenue`` (fare). Counts per
+    (day, slot, cell) are Poisson(intensity x daily volume x slot profile x
+    weekday factor); positions are uniform inside the cell (events are
+    homogeneous below the ``GEN_SIDE`` lattice by construction).
+    """
+    return pd.DataFrame(_trip_columns(cfg, sf=sf, days=days, slots=slots, seed=seed))
 
 
 def taxi_trips(
@@ -213,7 +244,31 @@ def taxi_trips(
     slots: int = SLOTS_PER_DAY,
     seed: int | None = None,
 ) -> DataFrame:
-    """Spark view of :func:`taxi_trips_pdf` (same determinism guarantees)."""
-    return spark.createDataFrame(
-        taxi_trips_pdf(cfg, sf=sf, days=days, slots=slots, seed=seed)
+    """Spark view of :func:`taxi_trips_pdf` (same rows, same order).
+
+    The generated columns are written once as an uncompressed Parquet file
+    under the session's ``SparkFiles`` root, which Spark deletes when the
+    session stops, and the view is a scan of that file. The columns stay on
+    the driver for :func:`trip_columns`, keyed by the returned frame (which
+    ``DataFrame.cache()`` returns unchanged).
+    """
+    cols = _trip_columns(cfg, sf=sf, days=days, slots=slots, seed=seed)
+    path = os.path.join(SparkFiles.getRootDirectory(), f"trips-{cfg.name}-{uuid.uuid4().hex}.parquet")
+    pq.write_table(
+        pa.table(cols), path,
+        row_group_size=_ROW_GROUP_ROWS, compression="none", use_dictionary=False,
     )
+    frame = spark.read.schema(", ".join(f"{c} {t}" for c, t in COLUMNS.items())).parquet(path)
+    for col in cols.values():
+        col.setflags(write=False)
+    _VIEW_COLUMNS[frame] = cols
+    return frame
+
+
+def trip_columns(events: DataFrame) -> dict[str, np.ndarray]:
+    """The driver-side columns behind a frame made by :func:`taxi_trips`
+    (read-only, in the frame's row order)."""
+    try:
+        return _VIEW_COLUMNS[events]
+    except (KeyError, TypeError):
+        raise ValueError(f"{type(events).__name__} was not made by synth_data.taxi_trips") from None

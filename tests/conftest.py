@@ -10,7 +10,7 @@ from repro.experiments.config import TESTS, load_city
 
 @pytest.fixture(scope="session")
 def nyc(spark):
-    """NYC twin at unit-test scale (SF=0.01), cached in Spark."""
+    """NYC twin at unit-test scale (SF=0.01)."""
     return load_city(spark, "nyc", TESTS)
 
 

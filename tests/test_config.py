@@ -56,18 +56,15 @@ class TestSplits:
 
 
 def test_load_city_caches_and_counts(spark):
+    """The city's count cache holds every row of its Spark view."""
     st = Settings(sf=0.002, N_side=16)
     data = load_city(spark, "xian", st)
-    try:
-        assert data.cfg is CITIES["xian"]
-        n = data.events.count()
-        assert n > 0
-        assert data.events.is_cached
-        weekdays = sum(1 for d in range(st.days) if d % 7 < 5)
-        approx = CITIES["xian"].daily_orders * 0.002
-        assert n == pytest.approx(
-            approx * (weekdays + (st.days - weekdays) * CITIES["xian"].weekend_factor),
-            rel=0.15,
-        )
-    finally:
-        data.events.unpersist()
+    assert data.cfg is CITIES["xian"]
+    n = data.events.count()
+    assert n == data.counts.table.day.size > 0
+    weekdays = sum(1 for d in range(st.days) if d % 7 < 5)
+    approx = CITIES["xian"].daily_orders * 0.002
+    assert n == pytest.approx(
+        approx * (weekdays + (st.days - weekdays) * CITIES["xian"].weekend_factor),
+        rel=0.15,
+    )

@@ -1,9 +1,10 @@
 """The city's count cache is the only place count tables are built.
 
-Each test runs on a fresh ``CityData`` over the session's cached events (so
+Each test runs on a fresh ``CityData`` over the session's city events (so
 no other test has filled its cache). The first three count the binnings
 behind the demand tensor and the alpha table, by grid side, at every module
-that imports the binning functions by name; the last counts Spark jobs.
+that imports the binning functions by name; the last counts Spark jobs
+(none: filling the cache reads the generator's columns).
 """
 import time
 
@@ -85,17 +86,16 @@ def _jobs_in_group(spark, group: str, fn) -> int:
     return last
 
 
-def test_replay_issues_only_the_collect(spark, nyc):
+def test_replay_runs_no_spark_job(spark, nyc):
     """Table III's case study plus an error-curve point on a fresh city run
-    the Spark jobs of the one event-table collect and nothing else; run
-    again, they run none."""
-    collect = _jobs_in_group(spark, "count-cache-collect", lambda: EventTable.collect(nyc.events))
+    no Spark job, the first time or the second: the event table is the
+    generator's own columns, not a collect."""
+    assert _jobs_in_group(spark, "count-cache-probe", nyc.events.count) >= 1
     data = _fresh(nyc)
 
     def replay():
         case_study_run(spark, data, 8)
         run_error_curves(spark, data, n_sides=[4])
 
-    assert collect >= 1
-    assert _jobs_in_group(spark, "count-cache-first", replay) == collect
+    assert _jobs_in_group(spark, "count-cache-first", replay) == 0
     assert _jobs_in_group(spark, "count-cache-second", replay) == 0

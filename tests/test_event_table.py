@@ -1,10 +1,12 @@
 """The driver-side event table and the count tables binned from it.
 
-Every count table is a numpy bincount over one collected
-:class:`EventTable` per city; the Spark aggregations ``demand_counts`` /
+Every count table is a numpy bincount over one :class:`EventTable` per
+city, the generator's own columns; an Arrow collect of the city's Spark
+view (:func:`_collect`), the Spark aggregations ``demand_counts`` /
 ``alpha_counts`` and the Catalyst projection ``with_grid_ids`` are the
 oracles these tests hold it to, exactly.
 """
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -16,7 +18,7 @@ from repro.core.grids import EventTable, grid_spec, hgrid_ids, with_grid_ids
 from repro.core.model_error import demand_counts, demand_tensor
 from repro.core.upper_bound import GridCounts
 from repro.experiments.config import TESTS
-from repro.synth_data import NYC
+from repro.synth_data import NYC, taxi_trips, taxi_trips_pdf
 
 
 def _dense_tensor(events, spec, st) -> np.ndarray:
@@ -37,10 +39,41 @@ def _dense_alphas(events, spec, st) -> np.ndarray:
     return a
 
 
-def test_collect_keeps_spark_row_order(nyc, nyc_pdf):
-    table = nyc.counts.table
-    for name in ("day", "slot", "x", "y", "dest_x", "dest_y", "revenue"):
-        np.testing.assert_array_equal(getattr(table, name), nyc_pdf[name].to_numpy())
+def _collect(events) -> EventTable:
+    """Oracle: one Arrow collect of ``events``, converted column by column."""
+    names = [f.name for f in dataclasses.fields(EventTable)]
+    tbl = events.select(*names).toArrow()
+    return EventTable(**{name: tbl.column(name).to_numpy() for name in names})
+
+
+def test_parquet_view_rows_equal_generator_in_order(spark, nyc):
+    """The Spark view, read back in more than one partition, holds the
+    generator's rows in the generator's order, and so does the city's table."""
+    key = "spark.sql.files.maxPartitionBytes"
+    old = spark.conf.get(key)
+    spark.conf.set(key, str(1 << 20))
+    try:
+        view = taxi_trips(spark, NYC, sf=TESTS.sf, days=TESTS.days)
+        assert view.rdd.getNumPartitions() > 1
+        got = _collect(view)
+    finally:
+        spark.conf.set(key, old)
+    want = taxi_trips_pdf(NYC, sf=TESTS.sf, days=TESTS.days)
+    city = _collect(nyc.events)
+    for f in dataclasses.fields(EventTable):
+        col = want[f.name].to_numpy()
+        for table in (got, city, nyc.counts.table):
+            np.testing.assert_array_equal(getattr(table, f.name), col)
+            assert getattr(table, f.name).dtype == col.dtype
+
+
+def test_table_of_a_frame_taxi_trips_did_not_make_raises(spark, nyc, nyc_pdf):
+    """No fallback collect: a hand-made or derived frame has no event table."""
+    st = TESTS
+    for frame in (spark.createDataFrame(nyc_pdf.head(100)), nyc.events.select("*")):
+        counts = GridCounts(frame, nyc.cfg, st.N_side, st.days, st.slots, st.train_days)
+        with pytest.raises(ValueError, match="taxi_trips"):
+            counts.table
 
 
 @pytest.mark.parametrize("n_side", [1, 4, 7, 10])

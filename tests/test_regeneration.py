@@ -46,21 +46,27 @@ def test_job_runs_from_any_directory(tmp_path, job):
     assert Path(imported.strip()).is_relative_to(ROOT / "src")
 
 
+def _job(monkeypatch, name: str):
+    """``jobs/<name>.py`` imported as a module (its ``main`` is not run)."""
+    monkeypatch.syspath_prepend(str(ROOT / "jobs"))
+    spec = importlib.util.spec_from_file_location(name, ROOT / "jobs" / f"{name}.py")
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+    return job
+
+
 @pytest.mark.parametrize("stride, written", [(1, []), (4, ["table4_xian.csv"])])
 def test_table4_writes_results_only_at_committed_stride(monkeypatch, tmp_path, stride, written):
     """``results/table4_<city>.csv`` holds the stride-4 tables; the paper's
     stride 1 prints its tables and leaves the committed files alone."""
-    monkeypatch.syspath_prepend(str(ROOT / "jobs"))
-    spec = importlib.util.spec_from_file_location("run_table4", ROOT / "jobs" / "run_table4.py")
-    job = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(job)
+    job = _job(monkeypatch, "run_table4")
     table = pd.DataFrame({
         "city": "xian",
         "algorithm": ["Brute-force Search", "Ternary Search", "Iterative Method"],
         "bound_calls": [228, 84, 61],
         "probability": 1.0,
     })
-    data = SimpleNamespace(events=SimpleNamespace(unpersist=lambda: None))
+    data = object()
     slots_run = []
     monkeypatch.setattr(job, "ROOT", tmp_path)
     monkeypatch.setattr(job, "get_spark", lambda app: SimpleNamespace(stop=lambda: None))
@@ -123,3 +129,39 @@ def test_table4_matches_results():
             assert prob == _percent(prob, float(want["probability"]))
             orr = got["Ours OR"].rstrip("*")
             assert orr == _percent(orr, float(want["OR"]))
+
+
+@pytest.mark.parametrize("stem", CITY_FILES.values())
+def test_table4_shape_check_holds_on_results(monkeypatch, stem):
+    job = _job(monkeypatch, "run_table4")
+    assert job.shape_failures(pd.read_csv(ROOT / "results" / f"table4_{stem}.csv")) == []
+
+
+def test_table4_shape_check_flags_iterative_below_ternary(monkeypatch):
+    """The Iterative Method (Alg. 5) must hit the optimum at least as often
+    as ternary search; equal rates pass."""
+    job = _job(monkeypatch, "run_table4")
+    df = pd.read_csv(ROOT / "results" / "table4_nyc.csv")
+    algo = df["algorithm"]
+    ternary = float(df.loc[algo == "Ternary Search", "probability"].iloc[0])
+    df.loc[algo == "Iterative Method", "probability"] = ternary
+    assert job.shape_failures(df) == []
+    df.loc[algo == "Iterative Method", "probability"] = ternary - 1 / 12
+    [failure] = job.shape_failures(df)
+    assert failure.startswith("nyc: the Iterative Method")
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "results").glob("curves_*.csv")), ids=lambda p: p.stem)
+def test_error_curve_checks_hold_on_results(monkeypatch, path):
+    job = _job(monkeypatch, "run_error_curves")
+    df = pd.read_csv(path)
+    assert job.shape_failures(df, path.stem) == []
+    assert 0 < job.worst_ratio(df) <= job.BOUND_SLACK
+
+
+def test_worst_ratio_is_the_largest_over_sides(monkeypatch):
+    job = _job(monkeypatch, "run_error_curves")
+    df = pd.DataFrame({"real_error": [1.0, 3.0, 2.0], "bound": [2.0, 4.0, 1.6]})
+    assert job.worst_ratio(df) == 1.25
+    over = df.assign(n_side=[4, 5, 6], expr_error=[3.0, 2.0, 1.0], model_error=[1.0, 2.0, 3.0])
+    assert job.shape_failures(over, "c") == ["c: real error exceeds 1.1 x bound at sides [6]"]

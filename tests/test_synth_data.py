@@ -1,9 +1,16 @@
 """Tests for the synthetic-city generator (DESIGN.md §3 substitution)."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro import synth_data as sd
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CITY_LIST = [sd.NYC, sd.CHENGDU, sd.XIAN]
 
@@ -141,3 +148,48 @@ def test_spark_frame_matches_pandas(spark):
     sdf = sd.taxi_trips(spark, sd.XIAN, sf=0.005, days=3)
     assert sdf.count() == len(pdf)
     assert [f.name for f in sdf.schema.fields] == list(pdf.columns)
+
+
+def test_spark_view_is_a_file_scan(spark, capsys):
+    """The view scans the generator's Parquet file; no rows sit in the plan."""
+    sd.taxi_trips(spark, sd.XIAN, sf=0.005, days=3).explain()
+    plan = capsys.readouterr().out
+    assert "FileScan parquet" in plan
+    assert "LocalTableScan" not in plan
+
+
+#: a session of its own writes a view, stops, and reports whether the file
+#: existed before and after the stop
+_VIEW_LIFETIME = """
+import os, sys
+from urllib.parse import urlparse
+from _session import get_spark
+from repro import synth_data as sd
+spark = get_spark("view-lifetime")
+[uri] = sd.taxi_trips(spark, sd.XIAN, sf=0.001, days=1).inputFiles()
+path = urlparse(uri).path
+before = os.path.isfile(path)
+spark.stop()
+print(before, os.path.exists(path))
+"""
+
+
+def test_view_file_is_gone_after_its_session_stops():
+    env = {k: v for k, v in os.environ.items() if k != "PYSPARK_SUBMIT_ARGS"}
+    env.update(
+        PYTHONPATH=os.pathsep.join([str(ROOT / "jobs"), str(ROOT / "src")]),
+        SPARK_MASTER="local[1]", SPARK_DRIVER_MEM="1g",
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _VIEW_LIFETIME], env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split()[-2:] == ["True", "False"]
+
+
+def test_columns_outgrowing_their_first_size_are_unchanged(monkeypatch):
+    """Arrays sized below the realised total grow and keep every row."""
+    want = sd.taxi_trips_pdf(sd.XIAN, sf=0.005, days=3)
+    monkeypatch.setattr(sd, "_CAPACITY_SIGMAS", -1e9)
+    pd.testing.assert_frame_equal(sd.taxi_trips_pdf(sd.XIAN, sf=0.005, days=3), want)
