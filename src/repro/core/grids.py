@@ -144,14 +144,16 @@ class EventTable:
     ) -> np.ndarray:
         """Float counts (or sums of column ``weights``) per ``key(rows, hgrid)``
         (default: the HGrid at ``spec``) over the rows of ``days``/``slot`` when
-        given, binned ``_BLOCK_ROWS`` rows at a time into scratch of their key span."""
+        given, binned ``_BLOCK_ROWS`` rows at a time into scratch of their key
+        span. A block's rows copy out only the columns the call reads."""
         out = np.zeros(size)
         for lo in range(0, self.day.size, _BLOCK_ROWS):
-            b = self.rows(slice(lo, lo + _BLOCK_ROWS))
-            if days is not None:
-                b = b.rows(np.isin(b.day, days))
+            block = slice(lo, lo + _BLOCK_ROWS)
+            keep = None if days is None else np.isin(self.day[block], days)
             if slot is not None:
-                b = b.rows(b.slot == slot)
+                at = self.slot[block] == slot
+                keep = at if keep is None else keep & at
+            b = _Rows(self, block, keep)
             h = hgrid_ids(b.x, b.y, spec)
             k = h if key is None else key(b, h)
             if k.size:
@@ -159,3 +161,18 @@ class EventTable:
                 c = np.bincount(k - k0, None if weights is None else getattr(b, weights))
                 out[k0:k0 + c.size] += c
         return out
+
+
+class _Rows:
+    """The rows of one block of an :class:`EventTable` (a slice) that the mask
+    ``keep`` picks, or all of them; each column is copied out on first read."""
+
+    def __init__(self, table: EventTable, block: slice, keep: np.ndarray | None):
+        self._table, self._block, self._keep = table, block, keep
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        col = getattr(self._table, name)[self._block]
+        if self._keep is not None:
+            col = col[self._keep]
+        setattr(self, name, col)
+        return col

@@ -15,6 +15,10 @@ does). Each 30-minute slot:
    constraint; highest-revenue orders are served first when capacity
    binds. :func:`matched` is this rule (a cell serves its first
    ``alloc[c]`` orders); Table IV's optimal ratio counts the same rule.
+   The revenue order is the one pandas' ``sort_values(ascending=False)``
+   gives: the slot's rows, in frame order, reversed, ``argsort`` with the
+   non-stable quicksort, reversed back. That sort fixes which of two
+   equal-revenue orders in one cell is served.
 3. Matched drivers are busy for ``ceil(trip_km / KM_PER_SLOT)`` slots and
    are then repositioned freely, like every idle driver.
 
@@ -48,9 +52,10 @@ def day_orders(
 ) -> pd.DataFrame:
     """One day's orders on the P-lattice: (slot, cell, trip_km, revenue, x,
     y, dest_x, dest_y), in the event table's generation order.
-    The order is pinned because :func:`simulate_day` sorts each slot by
-    revenue with a non-stable sort and then matches greedily: which of two
-    equal-revenue orders is served, and so Table III, depends on it."""
+    The order is pinned because :func:`simulate_day` sorts each slot's rows
+    by revenue with numpy's non-stable quicksort, in reverse frame order,
+    and then matches greedily: which of two equal-revenue orders is served,
+    and so Table III, depends on it."""
     spec = grid_spec(cfg, P, P)  # fine lattice == P-lattice
     ev = events.rows(events.day == day)
     return pd.DataFrame({
@@ -117,29 +122,29 @@ def simulate_day(
     (slots, P*P) pre-positioning weights (the dispatcher's policy), one row
     per slot of the day. Idle drivers are repositioned freely each slot, so
     only the idle/busy budget persists across slots (busy time = trip
-    distance / ``KM_PER_SLOT``).
+    distance / ``KM_PER_SLOT``). Orders in slots past the weight array
+    arrive but are never served.
     """
+    slot = orders["slot"].to_numpy()
+    cell = orders["cell"].to_numpy(int)
+    fare = orders["revenue"].to_numpy()
+    trip_km = orders["trip_km"].to_numpy()
+    by_slot = np.argsort(slot, kind="stable")  # each slot's rows in frame order
+    bounds = np.searchsorted(slot[by_slot], np.arange(len(weights_by_slot) + 1))
     free_at = np.zeros(n_drivers, dtype=int)
-    by_slot = {
-        int(s): g.sort_values("revenue", ascending=False)
-        for s, g in orders.groupby("slot")
-    }
     served = 0
     revenue = 0.0
-    arrived = len(orders)
     for t in range(len(weights_by_slot)):
+        rows = by_slot[bounds[t]:bounds[t + 1]][::-1]
         idle = np.flatnonzero(free_at <= t)
-        if idle.size == 0:
+        if idle.size == 0 or rows.size == 0:
             continue
+        # highest revenue first: reverse, quicksort, reverse back
+        rows = rows[np.argsort(fare[rows], kind="quicksort")][::-1]
         alloc = allocate(weights_by_slot[t], idle.size)  # drivers per cell
-        g = by_slot.get(t)
-        if g is None:
-            continue
-        take = matched(alloc, g["cell"].to_numpy(int))
-        k = int(take.sum())
-        taken = g[take]
-        served += k
-        revenue += float(taken["revenue"].sum())
-        busy = np.maximum(np.ceil(taken["trip_km"].to_numpy() / KM_PER_SLOT), 1).astype(int)
-        free_at[idle[:k]] = t + busy
-    return DispatchMetrics(served=served, revenue=revenue, arrived=arrived)
+        taken = rows[matched(alloc, cell[rows])]
+        served += taken.size
+        revenue += float(fare[taken].sum())
+        busy = np.maximum(np.ceil(trip_km[taken] / KM_PER_SLOT), 1).astype(int)
+        free_at[idle[:taken.size]] = t + busy
+    return DispatchMetrics(served=served, revenue=revenue, arrived=len(orders))

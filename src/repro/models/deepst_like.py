@@ -12,8 +12,9 @@ import numpy as np
 from repro.models.base import (
     closeness_window,
     flat_index,
-    period_values,
-    trend_values,
+    period_days,
+    trend_days,
+    view_means,
 )
 
 
@@ -28,25 +29,28 @@ class DeepSTLike:
     def __init__(self):
         self.coef_: np.ndarray | None = None
 
-    def _features(self, tensor: np.ndarray, day: int, slot: int) -> np.ndarray:
-        """Feature matrix (n, 4): intercept, closeness, period, trend."""
-        close = closeness_window(tensor, day, slot, self.lags).mean(0)
-        period = period_values(tensor, day, slot, self.period_days).mean(0)
-        trend = trend_values(tensor, day, slot, self.trend_weeks).mean(0)
-        return np.column_stack([np.ones_like(close), close, period, trend])
+    def _features(self, tensor: np.ndarray, day, slot) -> np.ndarray:
+        """Feature matrix (samples * n, 4) of the samples ``(day, slot)``,
+        one (n rows) or arrays of them, sample-major: intercept, closeness,
+        period, trend, each view the mean of its rows."""
+        day, slot = np.atleast_1d(day, slot)
+        close = closeness_window(tensor, day, slot, self.lags).mean(1)
+        period = view_means(tensor, day, slot, lambda d: period_days(d, self.period_days))
+        trend = view_means(tensor, day, slot, lambda d: trend_days(d, self.trend_weeks))
+        return np.column_stack(
+            [np.ones(close.size), close.ravel(), period.ravel(), trend.ravel()]
+        )
 
     def _samples(self, tensor: np.ndarray, train_days: list[int], slot: int | None):
+        """Features and targets of the training samples ``(d, t)``, day-major:
+        ``t`` every slot or only ``slot``, skipping day 0 (the period view needs
+        a previous day) and the first ``lags`` slots of the series."""
         days, slots, _ = tensor.shape
-        Xs, ys = [], []
-        for d in train_days:
-            if d < 1:  # need at least one previous day for the period view
-                continue
-            for t in range(slots) if slot is None else (slot,):
-                if flat_index(d, t, slots) < self.lags:
-                    continue
-                Xs.append(self._features(tensor, d, t))
-                ys.append(tensor[d, t, :])
-        return np.concatenate(Xs), np.concatenate(ys)
+        ts = np.arange(slots) if slot is None else np.array([slot])
+        d, t = (a.ravel() for a in np.meshgrid(train_days, ts, indexing="ij"))
+        keep = (d >= 1) & (flat_index(d, t, slots) >= self.lags)
+        d, t = d[keep], t[keep]
+        return self._features(tensor, d, t), tensor[d, t].ravel()
 
     def fit(
         self, tensor: np.ndarray, train_days: list[int], slot: int | None = None

@@ -10,20 +10,20 @@ strongest of the three substitutes (verified by tests).
 """
 import numpy as np
 
-from repro.models.base import period_values
 from repro.models.deepst_like import DeepSTLike
 
 
 def _smooth_3x3(values: np.ndarray, side: int) -> np.ndarray:
-    """Mean over the 3x3 neighbourhood on a ``side x side`` grid lattice."""
-    f = values.reshape(side, side)
-    p = np.pad(f, 1, mode="edge")
+    """Mean over the 3x3 neighbourhood on a ``side x side`` grid lattice,
+    for each row of ``values`` (shape (..., side * side))."""
+    f = values.reshape(*values.shape[:-1], side, side)
+    p = np.pad(f, [(0, 0)] * (f.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
     out = sum(
-        p[1 + dy : 1 + dy + side, 1 + dx : 1 + dx + side]
+        p[..., 1 + dy : 1 + dy + side, 1 + dx : 1 + dx + side]
         for dy in (-1, 0, 1)
         for dx in (-1, 0, 1)
     ) / 9.0
-    return out.ravel()
+    return out.reshape(values.shape)
 
 
 class DmvstLike(DeepSTLike):
@@ -36,10 +36,11 @@ class DmvstLike(DeepSTLike):
         super().__init__()
         self.bias_: np.ndarray | None = None
 
-    def _features(self, tensor: np.ndarray, day: int, slot: int) -> np.ndarray:
-        base = super()._features(tensor, day, slot)  # (n, 4), n = side * side
-        period = period_values(tensor, day, slot, self.period_days).mean(0)
-        return np.column_stack([base, _smooth_3x3(period, int(round(np.sqrt(base.shape[0]))))])
+    def _features(self, tensor: np.ndarray, day, slot) -> np.ndarray:
+        base = super()._features(tensor, day, slot)  # (samples * n, 4)
+        n = tensor.shape[2]  # n = side * side
+        period = base[:, 2].reshape(-1, n)  # each sample's period view
+        return np.column_stack([base, _smooth_3x3(period, int(round(np.sqrt(n)))).ravel()])
 
     def fit(
         self, tensor: np.ndarray, train_days: list[int], slot: int | None = None

@@ -8,6 +8,8 @@ from repro.core.grids import grid_spec, with_grid_ids
 from repro.dispatch.ls import ls_weights, mean_fare_by_cell
 from repro.dispatch.polar import polar_weights
 from repro.dispatch.simulator import (
+    KM_PER_SLOT,
+    DispatchMetrics,
     allocate,
     day_orders,
     matched,
@@ -185,6 +187,138 @@ def _tiny_orders():
             "revenue": [10.0, 5.0, 20.0, 7.0, 3.0],
         }
     )
+
+
+def _pandas_simulate_day(orders, weights_by_slot, *, n_drivers):
+    """The pandas ``simulate_day`` the array version replaced, kept as its
+    oracle: group by slot, ``sort_values`` by revenue, boolean-frame picks."""
+    free_at = np.zeros(n_drivers, dtype=int)
+    by_slot = {
+        int(s): g.sort_values("revenue", ascending=False)
+        for s, g in orders.groupby("slot")
+    }
+    served = 0
+    revenue = 0.0
+    arrived = len(orders)
+    for t in range(len(weights_by_slot)):
+        idle = np.flatnonzero(free_at <= t)
+        if idle.size == 0:
+            continue
+        alloc = allocate(weights_by_slot[t], idle.size)
+        g = by_slot.get(t)
+        if g is None:
+            continue
+        take = matched(alloc, g["cell"].to_numpy(int))
+        k = int(take.sum())
+        taken = g[take]
+        served += k
+        revenue += float(taken["revenue"].sum())
+        busy = np.maximum(np.ceil(taken["trip_km"].to_numpy() / KM_PER_SLOT), 1).astype(int)
+        free_at[idle[:k]] = t + busy
+    return DispatchMetrics(served=served, revenue=revenue, arrived=arrived)
+
+
+def _fuzz_day(rng):
+    """A random day: few cells and fares on a coarse grid (many revenue ties),
+    empty slots, orders past the weight array, fleets smaller than demand."""
+    P = int(rng.integers(1, 6))
+    slots = int(rng.integers(1, 12))
+    n = int(rng.integers(0, 300))
+    orders = pd.DataFrame({
+        "slot": rng.integers(0, slots + 3, n).astype(np.int32),
+        "cell": rng.integers(0, P * P, n),
+        "trip_km": rng.random(n) * rng.choice([5.0, 60.0]),
+        "revenue": rng.integers(1, 8, n) * 2.5 + rng.choice([0.0, 0.01], n),
+    })
+    w = rng.random((slots, P * P)) * (rng.random((slots, P * P)) < 0.7)
+    return orders, w, int(rng.integers(0, 60))
+
+
+class TestSimulateDayEqualsPandas:
+    """The array simulator against the pandas one it replaced, ``==`` on
+    every field (the revenue float included)."""
+
+    def test_fuzzed_days(self):
+        rng = np.random.default_rng(20221)
+        for _ in range(250):
+            orders, w, drivers = _fuzz_day(rng)
+            want = _pandas_simulate_day(orders, w, n_drivers=drivers)
+            assert simulate_day(orders, w, n_drivers=drivers) == want
+
+    def test_tied_revenues_in_one_cell(self):
+        """Three equal fares, one driver: the tie order picks the trip, and
+        the trip decides whether slot 2's order is served."""
+        for trips in ([1.0, 100.0, 1.0], [100.0, 1.0, 1.0], [1.0, 1.0, 100.0]):
+            orders = pd.DataFrame({
+                "slot": [0, 0, 0, 2], "cell": [0, 0, 0, 0],
+                "trip_km": trips + [1.0], "revenue": [5.0, 5.0, 5.0, 5.0],
+            })
+            w = np.ones((3, 1))
+            got = simulate_day(orders, w, n_drivers=1)
+            assert got == _pandas_simulate_day(orders, w, n_drivers=1)
+            assert got.served in (1, 2)
+
+    def test_fuzz_sees_the_tie_order(self):
+        """Reversing a day's rows moves only its revenue ties, and it changes
+        the outcome of some fuzzed days: the fuzz above pins the tie order."""
+        rng = np.random.default_rng(20221)
+        moved = 0
+        for _ in range(50):
+            orders, w, drivers = _fuzz_day(rng)
+            flipped = orders.iloc[::-1].reset_index(drop=True)
+            moved += simulate_day(flipped, w, n_drivers=drivers) != _pandas_simulate_day(
+                orders, w, n_drivers=drivers
+            )
+        assert moved > 0
+
+    def test_empty_slots_and_orders_past_the_weights(self):
+        orders = pd.DataFrame({
+            "slot": [4, 0, 4, 7, 9], "cell": [1, 0, 1, 0, 1],
+            "trip_km": [3.0, 2.0, 30.0, 1.0, 1.0], "revenue": [6.0, 4.0, 9.0, 2.0, 3.0],
+        })
+        w = np.ones((6, 4))  # slots 6.. have orders but no weights
+        got = simulate_day(orders, w, n_drivers=8)
+        assert got == _pandas_simulate_day(orders, w, n_drivers=8)
+        assert got.arrived == 5 and got.served == 3
+
+    def test_no_idle_driver(self):
+        orders = pd.DataFrame({
+            "slot": [0, 1, 2], "cell": [0, 0, 0],
+            "trip_km": [60.0, 1.0, 1.0], "revenue": [1.0, 2.0, 3.0],
+        })
+        w = np.ones((3, 1))
+        for drivers in (0, 1):
+            got = simulate_day(orders, w, n_drivers=drivers)
+            assert got == _pandas_simulate_day(orders, w, n_drivers=drivers)
+            assert got.served == drivers
+
+    def test_more_orders_than_drivers(self):
+        orders = pd.DataFrame({
+            "slot": [0] * 6, "cell": [0, 1, 0, 1, 0, 1],
+            "trip_km": [1.0] * 6, "revenue": [1.0, 6.0, 3.0, 5.0, 2.0, 4.0],
+        })
+        w = np.ones((1, 4))
+        got = simulate_day(orders, w, n_drivers=3)
+        assert got == _pandas_simulate_day(orders, w, n_drivers=3)
+        assert got.served <= 3
+
+    def test_no_orders(self):
+        orders = pd.DataFrame({"slot": [], "cell": [], "trip_km": [], "revenue": []})
+        w = np.ones((4, 9))
+        got = simulate_day(orders, w, n_drivers=5)
+        assert got == _pandas_simulate_day(orders, w, n_drivers=5)
+        assert got == DispatchMetrics(served=0, revenue=0.0, arrived=0)
+
+    def test_test_day_policies(self, nyc):
+        """POLAR- and LS-shaped weights on the TESTS test day."""
+        spec = grid_spec(nyc.cfg, 4, 16)
+        orders = day_orders(nyc.counts.table, nyc.cfg, day=TESTS.test_day, P=16)
+        preds = nyc.counts.tensor(4)[TESTS.test_day]
+        fares = mean_fare_by_cell(nyc.counts.table, nyc.cfg, P=16, train_days=TESTS.train_days)
+        for w in (polar_weights(preds, spec, 16), ls_weights(preds, spec, 16, fares)):
+            for drivers in (20, 200):
+                want = _pandas_simulate_day(orders, w, n_drivers=drivers)
+                assert simulate_day(orders, w, n_drivers=drivers) == want
 
 
 class TestSimulateDay:

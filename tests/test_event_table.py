@@ -7,6 +7,7 @@ view (:func:`_collect`), the Spark aggregations ``demand_counts`` /
 oracles these tests hold it to, exactly.
 """
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -150,3 +151,52 @@ def test_blocked_binning_equals_one_shot():
     got_rev = table.bincount(spec, cells, days=TESTS.train_days, weights="revenue")
     np.testing.assert_allclose(got_rev, rev, rtol=1e-12)
     assert got_rev.sum() > 0
+
+
+def _all_columns_bincount(table, spec, size, key=None, *, days=None, slot=None, weights=None):
+    """The ``bincount`` that copied all seven columns of every filtered block,
+    kept as the oracle of the one that copies only the columns it reads."""
+    out = np.zeros(size)
+    for lo in range(0, table.day.size, grids._BLOCK_ROWS):
+        b = table.rows(slice(lo, lo + grids._BLOCK_ROWS))
+        if days is not None:
+            b = b.rows(np.isin(b.day, days))
+        if slot is not None:
+            b = b.rows(b.slot == slot)
+        h = hgrid_ids(b.x, b.y, spec)
+        k = h if key is None else key(b, h)
+        if k.size:
+            k0 = int(k.min())
+            c = np.bincount(k - k0, None if weights is None else getattr(b, weights))
+            out[k0:k0 + c.size] += c
+    return out
+
+
+_SPEC = grid_spec(NYC, 5, 16)
+_CELLS = _SPEC.fine_side**2
+_KEYS = {
+    "hgrid": (None, _CELLS),
+    "slot-hgrid": (lambda b, h: b.slot * _CELLS + h, TESTS.slots * _CELLS),
+    "day-slot-mgrid": (
+        lambda b, h: (b.day * TESTS.slots + b.slot) * _SPEC.n + grids.mgrid_of_hgrid(_SPEC)[h],
+        TESTS.days * TESTS.slots * _SPEC.n,
+    ),
+    "dest": (lambda b, h: hgrid_ids(b.dest_x, b.dest_y, _SPEC), _CELLS),
+}
+
+
+@pytest.mark.parametrize(
+    "days, slot, weights, key",
+    list(itertools.product(
+        [None, TESTS.train_days, [TESTS.test_day], []], [None, 17], [None, "revenue"], sorted(_KEYS)
+    )),
+)
+def test_lean_bincount_equals_all_columns(days, slot, weights, key):
+    """Every mix of day filter, slot filter, weights and key, over blocks in
+    random order and a short last block."""
+    table = _synthetic(2 * grids._BLOCK_ROWS + 1001, seed=5)
+    fn, size = _KEYS[key]
+    got = table.bincount(_SPEC, size, fn, days=days, slot=slot, weights=weights)
+    want = _all_columns_bincount(table, _SPEC, size, fn, days=days, slot=slot, weights=weights)
+    np.testing.assert_array_equal(got, want)
+    assert (got.sum() > 0) == (days != [])

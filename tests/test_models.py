@@ -6,7 +6,7 @@ from repro.core.grids import grid_spec
 from repro.core.model_error import demand_tensor, mae
 from repro.experiments.config import TESTS
 from repro.models import MODELS, DeepSTLike, DmvstLike, FlatMLP
-from repro.models.base import closeness_window, period_values, trend_values
+from repro.models.base import closeness_window, period_days, trend_days
 
 
 def _toy_tensor(days=20, slots=12, n=9, seed=0):
@@ -37,20 +37,23 @@ class TestFeatureViews:
 
     def test_period_values(self):
         t = _toy_tensor()
-        p = period_values(t, 5, 3, 4)
+        p = t[period_days(5, 4), 3]
         assert p.shape == (4, 9)
         np.testing.assert_array_equal(p[-1], t[4, 3])
+        assert period_days(2, 8) == [0, 1]
+        with pytest.raises(ValueError):
+            period_days(0, 8)
 
     def test_trend_values_weekly(self):
         t = _toy_tensor()
-        tr = trend_values(t, 15, 3, 2)
+        tr = t[trend_days(15, 2), 3]
         assert tr.shape == (2, 9)
         np.testing.assert_array_equal(tr[0], t[8, 3])
 
     def test_trend_falls_back_when_short(self):
-        t = _toy_tensor()
-        tr = trend_values(t, 3, 5, 2)  # no full week of history
-        assert tr.shape[1] == 9 and tr.shape[0] >= 1
+        assert trend_days(3, 2) == [0, 1, 2]  # no full week of history
+        assert trend_days(1, 2) == [0]
+        assert trend_days(9, 2) == [2]
 
 
 @pytest.mark.parametrize("name", ["mlp", "deepst", "dmvst"])
@@ -99,6 +102,110 @@ class TestModelContracts:
                 errs.append(np.abs(p - t[d, s]).mean())
                 zeros.append(np.abs(t[d, s]).mean())
         assert np.mean(errs) < np.mean(zeros)
+
+
+def _float_tensor(days=20, slots=12, n=9, seed=1):
+    """Non-integer demand: sums of its rows round, so their order shows."""
+    rng = np.random.default_rng(seed)
+    return rng.random((days, slots, n)) * 10.0 ** rng.integers(-3, 4, (1, 1, n)) + 1e-9
+
+
+def _oracle_features(model, tensor, day, slot):
+    """The per-sample features the batched ``_features`` replaced, kept as
+    its oracle: each view sliced for one (day, slot), then ``.mean(0)``."""
+    days, slots, n = tensor.shape
+    g = day * slots + slot
+    close = tensor.reshape(days * slots, n)[g - model.lags : g].mean(0)
+    period = tensor[max(0, day - model.period_days) : day, slot, :].mean(0)
+    ds = [day - 7 * w for w in range(1, model.trend_weeks + 1) if day - 7 * w >= 0]
+    trend = (tensor[ds, slot, :] if ds else tensor[day - min(day, 3) : day, slot, :]).mean(0)
+    X = np.column_stack([np.ones_like(close), close, period, trend])
+    if isinstance(model, DmvstLike):
+        from repro.models.dmvst_like import _smooth_3x3
+
+        X = np.column_stack([X, _smooth_3x3(period, int(round(np.sqrt(n))))])
+    return X
+
+
+def _oracle_samples(model, tensor, train_days, slot):
+    """The per-sample ``_samples`` loop, kept as the oracle."""
+    days, slots, _ = tensor.shape
+    Xs, ys = [], []
+    for d in train_days:
+        if d < 1:
+            continue
+        for t in range(slots) if slot is None else (slot,):
+            if d * slots + t < model.lags:
+                continue
+            Xs.append(_oracle_features(model, tensor, d, t))
+            ys.append(tensor[d, t, :])
+    return np.concatenate(Xs), np.concatenate(ys)
+
+
+TENSORS = {
+    "counts": _toy_tensor,
+    "floats": _float_tensor,
+    # one MGrid: numpy sums a lone column pairwise, not row by row
+    "floats-n1": lambda: _float_tensor(n=1),
+    # fewer slots than lags: day 1's first slots lack closeness history
+    "counts-4-slots": lambda: _toy_tensor(slots=4, n=4),
+}
+TRAIN_DAYS = {
+    "0-13": list(range(14)),  # days 1-6 fall back for trend, 1-7 short period
+    "1-7": list(range(1, 8)),
+    "shuffled": [9, 3, 1, 12, 5, 5, 17, 0, 2],
+}
+
+
+@pytest.mark.parametrize("model_cls", [DeepSTLike, DmvstLike])
+@pytest.mark.parametrize("tensor_name", sorted(TENSORS))
+class TestBatchedFeaturesEqualPerSample:
+    """The batched features, fit and forecasts equal the per-sample loop's
+    bit for bit, on counts and on non-integer tensors."""
+
+    @pytest.mark.parametrize("days_name", sorted(TRAIN_DAYS))
+    @pytest.mark.parametrize("slot", [None, 0, 3])
+    def test_fit(self, model_cls, tensor_name, days_name, slot):
+        t, train = TENSORS[tensor_name](), TRAIN_DAYS[days_name]
+        model = model_cls()
+        X, y = model._samples(t, train, slot)
+        want_X, want_y = _oracle_samples(model, t, train, slot)
+        np.testing.assert_array_equal(X, want_X)
+        np.testing.assert_array_equal(y, want_y)
+        model.fit(t, train, slot)
+        coef, *_ = np.linalg.lstsq(want_X, want_y, rcond=None)
+        np.testing.assert_array_equal(model.coef_, coef)
+        bias = 0.0
+        if model_cls is DmvstLike:
+            resid = (want_y - want_X @ coef).reshape(-1, t.shape[2])
+            bias = len(resid) / (len(resid) + model.shrink_tau) * resid.sum(0) / len(resid)
+            np.testing.assert_array_equal(model.bias_, bias)
+        for d in range(1, 9):
+            for s in {slot or 0, t.shape[1] - 1}:
+                if d * t.shape[1] + s < model.lags:
+                    continue
+                want = np.maximum(_oracle_features(model, t, d, s) @ coef + bias, 0.0)
+                np.testing.assert_array_equal(model.predict(t, d, s), want)
+
+    def test_features_of_unsorted_samples(self, model_cls, tensor_name):
+        t = TENSORS[tensor_name]()
+        days, slots, _ = t.shape
+        rng = np.random.default_rng(3)
+        d = rng.integers(1, days, 60)
+        s = rng.integers(0, slots, 60)
+        ok = d * slots + s >= model_cls.lags
+        d, s = d[ok], s[ok]
+        model = model_cls()
+        want = np.concatenate([_oracle_features(model, t, a, b) for a, b in zip(d, s)])
+        np.testing.assert_array_equal(model._features(t, d, s), want)
+
+    def test_predict_without_history_raises(self, model_cls, tensor_name):
+        t = TENSORS[tensor_name]()
+        model = model_cls().fit(t, list(range(14)))
+        with pytest.raises(ValueError):
+            model.predict(t, 0, t.shape[1] - 1)  # no previous day: no period view
+        with pytest.raises(ValueError):
+            model.predict(t, 0, 0)  # no closeness history either
 
 
 class TestAccuracyOrdering:
