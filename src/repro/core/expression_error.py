@@ -16,7 +16,10 @@ alpha_ig``), the error of uniform spreading is
 * :func:`total_expression_error_local` — the production driver: one
   batched, log-space-stable, windowed kernel (same math as Algorithm 2,
   safe for large beta) over every HGrid of one slot's alpha row at once
-  (a row of the table binned by :mod:`repro.core.alpha`);
+  (a row of the table binned by :mod:`repro.core.alpha`). It evaluates
+  each distinct (alpha, beta) pair once and each Poisson window once: the
+  distinct beta windows in blocks of similar width, the alpha windows laid
+  out flat, so it computes almost no padding;
 * :func:`expression_error_fast` — the same kernel on one MGrid's HGrids.
 
 Sign convention: the paper's indicator uses I(0) = +1 (Eq. 18 includes the
@@ -123,8 +126,9 @@ def expression_error_alg2(alpha: float, beta: float, m: int, K: int) -> float:
 # batched kernel and its drivers (the production path)
 # ---------------------------------------------------------------------------
 
-#: padded window cells (alpha and beta windows together) evaluated in one
-#: block, so the kernel's scratch memory stays a few MB whatever the lattice
+#: window cells (a class of beta windows, or a chunk of alpha points)
+#: evaluated at once, so the kernel's scratch memory stays a few MB whatever
+#: the lattice
 _BLOCK_CELLS = 1 << 17
 
 #: log k! for k below its size, exact; Stirling's series above
@@ -134,6 +138,8 @@ _LOG_FACT = np.array([math.lgamma(k + 1) for k in range(4096)])
 def _log_factorial(k: np.ndarray) -> np.ndarray:
     """log k! of non-negative integers (Stirling's series error < 1e-25
     where it is used)."""
+    if k.max(initial=0) < _LOG_FACT.size:
+        return _LOG_FACT[k]
     z = np.maximum(k, _LOG_FACT.size) + 1.0
     stirling = (
         (z - 0.5) * np.log(z) - z + 0.5 * math.log(2.0 * math.pi)
@@ -142,7 +148,7 @@ def _log_factorial(k: np.ndarray) -> np.ndarray:
     return np.where(k < _LOG_FACT.size, _LOG_FACT[np.minimum(k, _LOG_FACT.size - 1)], stirling)
 
 
-def _window_bounds(lam: np.ndarray, k_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _window_bounds(lam: np.ndarray, k_max: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) of each Poisson(lam) window: lam +- _WINDOW_SIGMA*sqrt(lam)
     + 10, clipped to [0, k_max]; hi < lo when it lies wholly beyond k_max.
     Poisson(0) is the point mass at 0."""
@@ -152,22 +158,23 @@ def _window_bounds(lam: np.ndarray, k_max: np.ndarray) -> tuple[np.ndarray, np.n
     return lo, hi
 
 
-def _log_pois_window(lam: np.ndarray, k_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, pmf): row r of pmf holds the Poisson(lam[r]) pmf at lo[r] + 0..W-1
-    on its :func:`_window_bounds` window, zero-padded to the widest row (all
-    zero when the window is empty). Computed in log space, so it is stable
-    for arbitrarily large lam."""
-    lo, hi = _window_bounds(lam, k_max)
-    width = hi - lo + 1
-    j = np.arange(max(int(width.max(initial=0)), 1))
-    k = lo[:, None] + j
-    # log k! = log(lo!) + cumsum of log k within the window
-    log_fact = np.zeros(k.shape)
-    np.cumsum(np.log(k[:, 1:]), axis=1, out=log_fact[:, 1:])
-    log_fact += _log_factorial(lo)[:, None]
-    log_lam = np.log(np.where(lam > 0, lam, 1.0))  # lam = 0 keeps only k = 0
-    log_pmf = k * log_lam[:, None] - lam[:, None] - log_fact
-    return lo, np.where(j < width[:, None], np.exp(log_pmf), 0.0)
+def _log_pois_window(lam, lo, j) -> tuple[np.ndarray, np.ndarray]:
+    """(k, pmf): the Poisson(lam) pmf at the window points k = lo + j, with
+    ``lam``, ``lo`` and ``j`` broadcast together. Computed in log space, so
+    it is stable for arbitrarily large lam; a Poisson(0) window holds only
+    k = 0. Flat points look log k! up one by one; in 2-D rows of
+    consecutive points (one padded window per row) it is the row's first
+    log k! plus a running sum of log k."""
+    k = lo + j
+    if k.ndim == 2:
+        log_fact = np.empty(k.shape)
+        log_fact[:, 0] = _log_factorial(k[:, 0])
+        np.cumsum(np.log(k[:, 1:]), axis=1, out=log_fact[:, 1:])
+        log_fact[:, 1:] += log_fact[:, :1]
+    else:
+        log_fact = _log_factorial(k)
+    log_lam = np.log(np.where(lam > 0, lam, 1.0))
+    return k, np.exp(k * log_lam - lam - log_fact)
 
 
 def _auto_K(alpha: np.ndarray) -> np.ndarray:
@@ -175,23 +182,23 @@ def _auto_K(alpha: np.ndarray) -> np.ndarray:
     return (alpha + _WINDOW_SIGMA * np.sqrt(alpha)).astype(np.int64) + 12
 
 
-def _block(alpha: np.ndarray, beta: np.ndarray, k_cap: np.ndarray, m: int) -> np.ndarray:
-    """E_e of each (alpha, beta) row truncated at k_h <= k_cap,
-    k_m <= (m-1)*k_cap: Algorithm 2's e1/e2 with C_beta and D_beta read
-    off windowed cumsums at q = (m-1)*k_h."""
-    lo_a, pmf_a = _log_pois_window(alpha, k_cap)
-    lo_b, pmf_b = _log_pois_window(beta, (m - 1) * k_cap)
-    k_b = lo_b[:, None] + np.arange(pmf_b.shape[1])
-    # cdf and partial mean of Poisson(beta); the zero padding past each
-    # window makes the last column the row's window total
-    cum = np.cumsum(np.stack([pmf_b, k_b * pmf_b]), axis=2)
-    k_h = lo_a[:, None] + np.arange(pmf_a.shape[1])
-    idx = (m - 1) * k_h - lo_b[:, None]
-    at_q = np.take_along_axis(cum, np.clip(idx, 0, pmf_b.shape[1] - 1)[None], axis=2)
-    dev = 2.0 * np.where(idx < 0, 0.0, at_q) - cum[:, :, -1:]  # 2C(q) - C, 2D(q) - D
-    e1 = (k_h * pmf_a * dev[0]).sum(axis=1)
-    e2 = (pmf_a * dev[1]).sum(axis=1)
-    return ((m - 1) * e1 - e2) / m
+def _flat(width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, j) of every point when row r holds ``width[r]`` points 0..w-1."""
+    row = np.repeat(np.arange(width.size), width)
+    return row, np.arange(row.size) - np.repeat(np.cumsum(width) - width, width)
+
+
+def _classes(width: np.ndarray):
+    """(rows, W) per width class: a slice of consecutive rows whose widths
+    (running max) stay below twice the class's first, padded to the
+    class's widest W, with at most _BLOCK_CELLS cells (or one row)."""
+    top = np.maximum.accumulate(width)
+    start = 0
+    while start < width.size:
+        stop = int(np.searchsorted(top, 2 * top[start]))
+        stop = min(stop, start + max(1, _BLOCK_CELLS // int(top[stop - 1])))
+        yield slice(start, stop), int(top[stop - 1])
+        start = stop
 
 
 def _checked(alphas, K: int | None) -> np.ndarray:
@@ -214,9 +221,13 @@ def _expression_errors(
     """E_e of every HGrid, for checked 1-D ``alphas`` and their MGrid ids.
 
     beta_j is its MGrid's total minus alpha_j. Equal (alpha, beta) pairs
-    share one evaluation; the distinct pairs, sorted by beta so that
-    neighbours have similar window widths, are evaluated in blocks of at
-    most _BLOCK_CELLS padded cells (one wider row is a block of its own).
+    share one evaluation, and the distinct pairs are sorted by beta. Each
+    distinct beta window is built once (with K = None its auto-K cap lies
+    past the window, so the window depends on beta alone), in classes of
+    similar width; C_beta and D_beta are their running sums. The pairs'
+    alpha windows are laid out flat, with no padding: every point k_h reads
+    C_beta and D_beta at q = (m-1)*k_h from its pair's class, and e1/e2 are
+    summed per pair (Algorithm 2).
     """
     _, mg, sizes = np.unique(mgrid_of_cell, return_inverse=True, return_counts=True)
     if (sizes != m).any():
@@ -224,27 +235,51 @@ def _expression_errors(
     if m == 1:
         return np.zeros(alphas.size)  # the HGrid is its MGrid
     betas = np.bincount(mg, alphas)[mg] - alphas
-    pairs, inv = np.unique(np.stack([betas, alphas], axis=1), axis=0, return_inverse=True)
-    beta, alpha = pairs[:, 0], pairs[:, 1]
-    if K is None:
-        # k_h must cover alpha's mass AND (m-1)*K must cover beta's mass
-        k_cap = np.maximum(_auto_K(alpha), -(-_auto_K(beta) // (m - 1)))
-    else:
-        k_cap = np.full(alpha.size, K, dtype=np.int64)
-    lo_a, hi_a = _window_bounds(alpha, k_cap)
-    lo_b, hi_b = _window_bounds(beta, (m - 1) * k_cap)
-    w_a = np.maximum(hi_a - lo_a + 1, 1)
-    w_b = np.maximum(hi_b - lo_b + 1, 1)
-    ee = np.empty(alpha.size)
-    start = 0
-    while start < alpha.size:
-        # the widest windows among the rows a block could hold bound its rows
-        span = slice(start, start + _BLOCK_CELLS // int(w_a[start] + w_b[start]) + 1)
-        stop = start + max(1, _BLOCK_CELLS // int(w_a[span].max() + w_b[span].max()))
-        rows = slice(start, stop)
-        ee[rows] = _block(alpha[rows], beta[rows], k_cap[rows], m)
-        start = stop
-    return ee[inv.reshape(-1)]
+    order = np.lexsort((alphas, betas))
+    beta, alpha = betas[order], alphas[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (beta[1:] != beta[:-1]) | (alpha[1:] != alpha[:-1])
+    pair = np.empty(order.size, dtype=np.int64)
+    pair[order] = np.cumsum(first) - 1
+    beta, alpha = beta[first], alpha[first]
+    # the distinct betas, each one's first pair, and each pair's beta
+    lam, first_pair, row = np.unique(beta, return_index=True, return_inverse=True)
+    first_pair = np.append(first_pair, beta.size)
+    lo_b, hi_b = _window_bounds(lam, _auto_K(lam) if K is None else (m - 1) * K)
+    lo_a, hi_a = _window_bounds(alpha, _auto_K(alpha) if K is None else K)
+    w_b = hi_b - lo_b + 1  # <= 0 for a window wholly beyond (m-1)K
+    w_a = np.maximum(hi_a - lo_a + 1, 0)
+    a_end = np.cumsum(w_a)
+    e = np.zeros((2, alpha.size))  # e1, e2 per pair
+    for rows, W in _classes(np.maximum(w_b, 1)):
+        j = np.arange(W)
+        k_b, pmf_b = _log_pois_window(lam[rows, None], lo_b[rows, None], j)
+        pmf_b *= j < w_b[rows, None]
+        # C_beta and D_beta, the cdf and partial mean, at column q - lo + 1
+        # of each window row: column 0 is q < lo, and the zero padding
+        # makes the last column the window total
+        cum = np.zeros((2, pmf_b.shape[0], W + 1))
+        np.multiply(k_b, pmf_b, out=cum[1, :, 1:])
+        cum[0, :, 1:] = pmf_b
+        np.cumsum(cum[:, :, 1:], axis=2, out=cum[:, :, 1:])
+        c, d = cum.reshape(2, -1)
+        c_tot, d_tot = cum[:, :, -1]
+        p, stop = int(first_pair[rows.start]), int(first_pair[rows.stop])
+        while p < stop:
+            # the class's alpha points, at most _BLOCK_CELLS at a time
+            nxt = int(np.searchsorted(a_end, a_end[p] - w_a[p] + _BLOCK_CELLS, side="right"))
+            nxt = min(stop, max(p + 1, nxt))
+            seg, off = _flat(w_a[p:nxt])
+            at = seg + p
+            k_h, pmf_a = _log_pois_window(alpha[at], lo_a[at], off)
+            r = row[at] - rows.start
+            at_q = r * (W + 1) + np.minimum(np.maximum((m - 1) * k_h - lo_b[row[at]] + 1, 0), W)
+            # e1 adds k_h pmf (2C(q) - C), e2 adds pmf (2D(q) - D)
+            n = nxt - p
+            e[0, p:nxt] = np.bincount(seg, k_h * pmf_a * (2.0 * c[at_q] - c_tot[r]), minlength=n)
+            e[1, p:nxt] = np.bincount(seg, pmf_a * (2.0 * d[at_q] - d_tot[r]), minlength=n)
+            p = nxt
+    return (((m - 1) * e[0] - e[1]) / m)[pair]
 
 
 def expression_error_fast(alphas: np.ndarray, m: int, K: int | None) -> np.ndarray:

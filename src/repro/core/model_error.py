@@ -39,8 +39,9 @@ def demand_tensor(
 def predictions_for(
     tensor: np.ndarray, model: Predictor, days: list[int], slot: int
 ) -> np.ndarray:
-    """Model predictions per MGrid for ``slot`` on each of ``days``: (k, n)."""
-    return np.stack([model.predict(tensor, d, slot) for d in days])
+    """Model predictions per MGrid for ``slot`` on each of ``days``: (k, n),
+    from one forecast call."""
+    return model.predict(tensor, np.asarray(days), slot)
 
 
 def total_model_error(

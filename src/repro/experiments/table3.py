@@ -43,7 +43,7 @@ def _predictions_by_slot(data: CityData, s: int) -> np.ndarray:
     st = data.settings
     tensor = data.counts.tensor(s)
     model = DeepSTLike().fit(tensor, st.train_days)
-    return np.stack([model.predict(tensor, st.test_day, t) for t in range(st.slots)])
+    return model.predict(tensor, st.test_day, np.arange(st.slots))
 
 
 def case_study_run(

@@ -26,11 +26,21 @@ class Predictor(Protocol):
         where every UpperBound call trains its own model."""
         ...
 
-    def predict(self, tensor: np.ndarray, day: int, slot: int) -> np.ndarray:
-        """Predicted event count per MGrid for (day, slot), shape (n,).
-        Only entries of ``tensor`` strictly before (day, slot) may be read.
+    def predict(self, tensor: np.ndarray, day, slot) -> np.ndarray:
+        """Predicted event count per MGrid for (day, slot), shape (n,); for
+        arrays of days and slots (broadcast together), one forecast per
+        sample, shape (samples, n). Only entries of ``tensor`` strictly
+        before each (day, slot) may be read.
         """
         ...
+
+
+def forecast_samples(day, slot) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The samples of a forecast call: ``day`` and ``slot`` broadcast
+    together and flattened, and the shape its (samples, n) forecasts take
+    (``(n,)`` for one scalar sample)."""
+    d, s = np.broadcast_arrays(day, slot)
+    return d.ravel(), s.ravel(), (*d.shape, -1)
 
 
 def flat_index(day, slot, slots_per_day: int):

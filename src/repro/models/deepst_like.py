@@ -12,6 +12,7 @@ import numpy as np
 from repro.models.base import (
     closeness_window,
     flat_index,
+    forecast_samples,
     period_days,
     trend_days,
     view_means,
@@ -59,7 +60,14 @@ class DeepSTLike:
         self.coef_, *_ = np.linalg.lstsq(X, y, rcond=None)
         return self
 
-    def predict(self, tensor: np.ndarray, day: int, slot: int) -> np.ndarray:
+    def _blend(self, tensor: np.ndarray, day: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        """(samples, n) fitted blend of the samples' features, each sample's
+        (n, k) block times the weights as one forecast alone would take it."""
+        X = self._features(tensor, day, slot)
+        return X.reshape(day.size, tensor.shape[2], X.shape[1]) @ self.coef_
+
+    def predict(self, tensor: np.ndarray, day, slot) -> np.ndarray:
         if self.coef_ is None:
             raise RuntimeError("fit() first")
-        return np.maximum(self._features(tensor, day, slot) @ self.coef_, 0.0)
+        day, slot, shape = forecast_samples(day, slot)
+        return np.maximum(self._blend(tensor, day, slot), 0.0).reshape(shape)

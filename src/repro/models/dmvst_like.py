@@ -10,6 +10,7 @@ strongest of the three substitutes (verified by tests).
 """
 import numpy as np
 
+from repro.models.base import forecast_samples
 from repro.models.deepst_like import DeepSTLike
 
 
@@ -54,8 +55,8 @@ class DmvstLike(DeepSTLike):
         self.bias_ = shrink * resid.sum(0) / cnt
         return self
 
-    def predict(self, tensor: np.ndarray, day: int, slot: int) -> np.ndarray:
+    def predict(self, tensor: np.ndarray, day, slot) -> np.ndarray:
         if self.coef_ is None or self.bias_ is None:
             raise RuntimeError("fit() first")
-        raw = self._features(tensor, day, slot) @ self.coef_ + self.bias_
-        return np.maximum(raw, 0.0)
+        day, slot, shape = forecast_samples(day, slot)
+        return np.maximum(self._blend(tensor, day, slot) + self.bias_, 0.0).reshape(shape)

@@ -10,7 +10,7 @@ seeded initialisation.
 """
 import numpy as np
 
-from repro.models.base import closeness_window, flat_index
+from repro.models.base import closeness_window, flat_index, forecast_samples
 
 
 class FlatMLP:
@@ -76,12 +76,15 @@ class FlatMLP:
         return self
 
     # -- inference ----------------------------------------------------------
-    def predict(self, tensor: np.ndarray, day: int, slot: int) -> np.ndarray:
+    def predict(self, tensor: np.ndarray, day, slot) -> np.ndarray:
         if self._params is None:
             raise RuntimeError("fit() first")
         W1, b1, W2, b2 = self._params
-        X = closeness_window(tensor, day, slot, self.lags).T  # (n, lags)
+        day, slot, shape = forecast_samples(day, slot)
+        # (samples, n, lags): each sample's (n, lags) block is the transposed
+        # window one forecast alone would multiply
+        X = closeness_window(tensor, day, slot, self.lags).transpose(0, 2, 1)
         Xn = (X - self._x_mu) / self._x_sd
         H = np.maximum(Xn @ W1 + b1, 0.0)
-        yn = (H @ W2 + b2).ravel()
-        return np.maximum(yn * self._y_sd + self._y_mu, 0.0)
+        yn = (H @ W2 + b2)[..., 0]
+        return np.maximum(yn * self._y_sd + self._y_mu, 0.0).reshape(shape)

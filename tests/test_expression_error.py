@@ -1,5 +1,6 @@
 """Tests for expression error (paper §III-B, Eq. 7, Algorithms 1-2)."""
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import expression_error as ee
 from repro.core.alpha import alpha_by_hgrid
 from repro.core.expression_error import (
+    _auto_K,
+    _BLOCK_CELLS,
+    _expression_errors,
+    _log_factorial,
+    _window_bounds,
     expression_error_alg1,
     expression_error_alg2,
     expression_error_direct,
@@ -287,3 +294,194 @@ def test_local_driver_equals_direct_property(case):
         expect += sum(expression_error_direct(a, total - a, m, k) for a in group)
     got = total_expression_error_local(alphas, mg, m, K)
     assert got == pytest.approx(expect, rel=1e-8, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the unpadded kernel against the padded driver it replaced
+# ---------------------------------------------------------------------------
+
+def _padded_window(lam, k_max):
+    """(lo, pmf): each Poisson(lam) window as a row of lo + 0..W-1,
+    zero-padded to the widest row."""
+    lo, hi = _window_bounds(lam, k_max)
+    width = hi - lo + 1
+    j = np.arange(max(int(width.max(initial=0)), 1))
+    k = lo[:, None] + j
+    log_fact = np.zeros(k.shape)
+    np.cumsum(np.log(k[:, 1:]), axis=1, out=log_fact[:, 1:])
+    log_fact += _log_factorial(lo)[:, None]
+    log_lam = np.log(np.where(lam > 0, lam, 1.0))
+    log_pmf = k * log_lam[:, None] - lam[:, None] - log_fact
+    return lo, np.where(j < width[:, None], np.exp(log_pmf), 0.0)
+
+
+def _padded_block(alpha, beta, k_cap, m):
+    """E_e of each (alpha, beta) row truncated at k_h <= k_cap, with both
+    windows of every row padded to the block's widest."""
+    lo_a, pmf_a = _padded_window(alpha, k_cap)
+    lo_b, pmf_b = _padded_window(beta, (m - 1) * k_cap)
+    k_b = lo_b[:, None] + np.arange(pmf_b.shape[1])
+    cum = np.cumsum(np.stack([pmf_b, k_b * pmf_b]), axis=2)
+    k_h = lo_a[:, None] + np.arange(pmf_a.shape[1])
+    idx = (m - 1) * k_h - lo_b[:, None]
+    at_q = np.take_along_axis(cum, np.clip(idx, 0, pmf_b.shape[1] - 1)[None], axis=2)
+    dev = 2.0 * np.where(idx < 0, 0.0, at_q) - cum[:, :, -1:]
+    e1 = (k_h * pmf_a * dev[0]).sum(axis=1)
+    e2 = (pmf_a * dev[1]).sum(axis=1)
+    return ((m - 1) * e1 - e2) / m
+
+
+def _padded_kernel(alphas, mgrid_of_cell, m, K):
+    """The padded driver the production kernel replaced, kept as its oracle:
+    distinct (beta, alpha) pairs in blocks of at most _BLOCK_CELLS padded
+    cells, every pair padded to its block's widest alpha and beta windows."""
+    _, mg = np.unique(mgrid_of_cell, return_inverse=True)
+    if m == 1:
+        return np.zeros(alphas.size)
+    betas = np.bincount(mg, alphas)[mg] - alphas
+    pairs, inv = np.unique(np.stack([betas, alphas], axis=1), axis=0, return_inverse=True)
+    beta, alpha = pairs[:, 0], pairs[:, 1]
+    if K is None:
+        k_cap = np.maximum(_auto_K(alpha), -(-_auto_K(beta) // (m - 1)))
+    else:
+        k_cap = np.full(alpha.size, K, dtype=np.int64)
+    lo_a, hi_a = _window_bounds(alpha, k_cap)
+    lo_b, hi_b = _window_bounds(beta, (m - 1) * k_cap)
+    w_a = np.maximum(hi_a - lo_a + 1, 1)
+    w_b = np.maximum(hi_b - lo_b + 1, 1)
+    out = np.empty(alpha.size)
+    start = 0
+    while start < alpha.size:
+        span = slice(start, start + _BLOCK_CELLS // int(w_a[start] + w_b[start]) + 1)
+        stop = start + max(1, _BLOCK_CELLS // int(w_a[span].max() + w_b[span].max()))
+        rows = slice(start, stop)
+        out[rows] = _padded_block(alpha[rows], beta[rows], k_cap[rows], m)
+        start = stop
+    return out[inv.reshape(-1)]
+
+
+def _assert_matches_padded(alphas, mg, m, K=None):
+    np.testing.assert_allclose(
+        _expression_errors(alphas, mg, m, K), _padded_kernel(alphas, mg, m, K), rtol=1e-12, atol=0
+    )
+
+
+@pytest.mark.parametrize("city", ["nyc", "chengdu", "xian"])
+def test_equals_padded_kernel_on_tests_cities(city, request):
+    """Every HGrid of every slot's alpha row, at every swept side of the
+    TESTS lattice, is within 1e-12 relative of the padded driver."""
+    data = request.getfixturevalue(city)
+    st = data.settings
+    for side in range(st.s_min, st.s_max + 1):
+        alphas, mg = data.counts.alphas(side)
+        m = data.counts.spec(side).m
+        for row in alphas:
+            _assert_matches_padded(row, mg, m)
+
+
+def _gamma_row(n: int, m: int, scale: float, seed: int):
+    """``n`` MGrids of ``m`` HGrids: gamma alphas with a third of them 0."""
+    rng = np.random.default_rng(seed)
+    alphas = rng.gamma(0.8, scale, n * m) * (rng.random(n * m) > 0.3)
+    return alphas, rng.permutation(np.repeat(np.arange(n), m))
+
+
+class TestEqualsPaddedKernel:
+    """The edge cases of the kernel's domain, against the padded driver."""
+
+    @pytest.mark.parametrize("K", [0, 1, 3, 40])
+    def test_explicit_K(self, K):
+        # alphas up to ~300: many windows lie partly or wholly beyond K
+        _assert_matches_padded(*_gamma_row(40, 9, 40.0, seed=K), 9, K)
+
+    @pytest.mark.parametrize("K", [None, 0, 5])
+    def test_all_zero_alphas(self, K):
+        alphas = np.zeros(64)
+        _assert_matches_padded(alphas, np.repeat(np.arange(16), 4), 4, K)
+        assert not _expression_errors(alphas, np.repeat(np.arange(16), 4), 4, K).any()
+
+    @pytest.mark.parametrize("K", [None, 2])
+    def test_m_equals_two(self, K):
+        _assert_matches_padded(*_gamma_row(300, 2, 6.0, seed=2), 2, K)
+
+    def test_uniform_wide_mgrid(self):
+        """One m = 1024 MGrid of similar alphas: beta windows ~1.1k cells
+        wide, all of one width class (the paper-scale side-4 shape)."""
+        rng = np.random.default_rng(4)
+        alphas = rng.uniform(0.5, 2.5, 1024).round(2)
+        _assert_matches_padded(alphas, np.zeros(1024, dtype=np.int64), 1024)
+
+    def test_windows_wholly_beyond_K(self):
+        """alpha = 300 and beta >= 300 at K = 2: both windows lie past the
+        truncation, so those HGrids are 0, as in Eq. 7 truncated."""
+        alphas = np.array([0.0, 1.0, 300.0, 300.0, 0.0, 0.0, 3.0, 3.0, 500.0, 0.0, 0.0, 0.0])
+        mg = np.array([0, 1, 0, 1, 1, 0, 0, 1, 2, 2, 2, 2])
+        _assert_matches_padded(alphas, mg, 4, 2)
+        assert _expression_errors(alphas, mg, 4, 2)[[2, 3, 8]].tolist() == [0.0, 0.0, 0.0]
+
+
+def _spread_row(seed: int):
+    """256 MGrids of m = 4 whose mean loads spread log-uniformly over
+    0.05..150: Poisson windows from 1 to ~1000 cells wide."""
+    rng = np.random.default_rng(seed)
+    scale = np.repeat(np.exp(rng.uniform(np.log(0.05), np.log(150.0), 256)), 4)
+    alphas = rng.gamma(0.8, scale) * (rng.random(scale.size) > 0.3)
+    return alphas, rng.permutation(np.repeat(np.arange(256), 4))
+
+
+def _points_evaluated(monkeypatch, module, name, run) -> int:
+    """Poisson points the window function ``module.name`` computes in ``run()``."""
+    sizes = []
+    window = getattr(module, name)
+
+    def counted(*args):
+        out = window(*args)
+        sizes.append(out[1].size)
+        return out
+
+    monkeypatch.setattr(module, name, counted)
+    run()
+    monkeypatch.setattr(module, name, window)
+    return sum(sizes)
+
+
+def test_padding_stays_below_twice_the_windows(monkeypatch):
+    """On a fixed alpha row, the kernel exponentiates at most twice the
+    points of its alpha windows (one per distinct pair) and its distinct
+    beta windows, so padding cannot creep back; the padded driver computes
+    more than twice as many on the same row."""
+    alphas, mg = _spread_row(7)
+    betas = np.bincount(mg, alphas)[mg] - alphas
+    pairs = np.unique(np.stack([betas, alphas], axis=1), axis=0)
+
+    def points(lam):
+        lo, hi = _window_bounds(lam, _auto_K(lam))
+        return int((hi - lo + 1).sum())
+
+    unpadded = points(pairs[:, 1]) + points(np.unique(pairs[:, 0]))
+    kernel = _points_evaluated(
+        monkeypatch, ee, "_log_pois_window", lambda: _expression_errors(alphas, mg, 4, None)
+    )
+    assert unpadded <= kernel <= 2 * unpadded
+    padded = _points_evaluated(
+        monkeypatch, sys.modules[__name__], "_padded_window",
+        lambda: _padded_kernel(alphas, mg, 4, None),
+    )
+    assert padded > 2 * unpadded
+
+
+def test_paper_shaped_memory():
+    """16,384 HGrids in MGrids of m = 4 with distinct alphas ~ U(0, 50): the
+    paper's lattice at side 64, whose ~16k distinct beta windows and
+    ~2.4M alpha points stay within the scratch budget."""
+    rng = np.random.default_rng(11)
+    alphas = rng.uniform(0.0, 50.0, 16_384)
+    mg = np.repeat(np.arange(4096), 4)
+    tracemalloc.start()
+    try:
+        got = total_expression_error_local(alphas, mg, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert math.isfinite(got) and got >= 0

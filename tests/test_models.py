@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.grids import grid_spec
-from repro.core.model_error import demand_tensor, mae
+from repro.core.model_error import demand_tensor, mae, predictions_for
 from repro.experiments.config import TESTS
 from repro.models import MODELS, DeepSTLike, DmvstLike, FlatMLP
 from repro.models.base import closeness_window, period_days, trend_days
@@ -206,6 +206,66 @@ class TestBatchedFeaturesEqualPerSample:
             model.predict(t, 0, t.shape[1] - 1)  # no previous day: no period view
         with pytest.raises(ValueError):
             model.predict(t, 0, 0)  # no closeness history either
+
+
+def _per_sample_forecasts(model, tensor, days, slots):
+    """The one-forecast-per-sample loop the batched calls replaced, kept as
+    their oracle."""
+    return np.stack([model.predict(tensor, d, s) for d, s in zip(days, slots)])
+
+
+def _oracle_mlp_forecast(model, tensor, day, slot):
+    """One FlatMLP forecast as the per-sample ``predict`` computed it: the
+    transposed (n, lags) window through the two layers."""
+    W1, b1, W2, b2 = model._params
+    X = closeness_window(tensor, day, slot, model.lags).T
+    Xn = (X - model._x_mu) / model._x_sd
+    yn = (np.maximum(Xn @ W1 + b1, 0.0) @ W2 + b2).ravel()
+    return np.maximum(yn * model._y_sd + model._y_mu, 0.0)
+
+
+@pytest.mark.parametrize("name", ["mlp", "deepst", "dmvst"])
+@pytest.mark.parametrize("slot", [None, 1])
+@pytest.mark.parametrize("tensor_name", sorted(TENSORS))
+class TestBatchedForecastsEqualPerSample:
+    """One forecast call over many (day, slot) samples equals the loop of
+    one call per sample bit for bit, for all-slot and per-slot fits."""
+
+    def test_eval_days_of_one_slot(self, name, slot, tensor_name):
+        t = TENSORS[tensor_name]()
+        model = MODELS[name]().fit(t, list(range(14)), slot)
+        days = [14, 15, 16, 18]
+        want = _per_sample_forecasts(model, t, days, [slot or 0] * len(days))
+        got = model.predict(t, np.array(days), slot or 0)
+        assert got.shape == want.shape == (len(days), t.shape[2])
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(predictions_for(t, model, days, slot or 0), want)
+
+    def test_all_slots_of_one_day(self, name, slot, tensor_name):
+        t = TENSORS[tensor_name]()
+        model = MODELS[name]().fit(t, list(range(14)), slot)
+        slots = np.arange(t.shape[1])
+        want = _per_sample_forecasts(model, t, [16] * slots.size, slots)
+        np.testing.assert_array_equal(model.predict(t, 16, slots), want)
+
+    def test_unsorted_samples(self, name, slot, tensor_name):
+        t = TENSORS[tensor_name]()
+        model = MODELS[name]().fit(t, list(range(14)), slot)
+        rng = np.random.default_rng(5)
+        d = rng.integers(1, t.shape[0], 40)
+        s = rng.integers(0, t.shape[1], 40)
+        ok = d * t.shape[1] + s >= model.lags
+        d, s = d[ok], s[ok]
+        want = _per_sample_forecasts(model, t, d, s)
+        np.testing.assert_array_equal(model.predict(t, d, s), want)
+
+    def test_scalar_sample(self, name, slot, tensor_name):
+        t = TENSORS[tensor_name]()
+        model = MODELS[name]().fit(t, list(range(14)), slot)
+        got = model.predict(t, 16, slot or 0)
+        assert got.shape == (t.shape[2],)
+        if name == "mlp":
+            np.testing.assert_array_equal(got, _oracle_mlp_forecast(model, t, 16, slot or 0))
 
 
 class TestAccuracyOrdering:
