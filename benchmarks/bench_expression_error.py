@@ -12,7 +12,7 @@ from repro.core.expression_error import (
     expression_error_alg1,
     expression_error_alg2,
     expression_error_direct,
-    expression_error_fast,
+    expression_errors,
 )
 
 M = 64  # paper Appendix D: m = 8x8
@@ -41,5 +41,5 @@ def test_direct_cost(benchmark, K):
 @pytest.mark.parametrize("K", [50, 250, None])
 def test_fast_kernel_whole_mgrid(benchmark, K):
     """The production kernel computes all 64 HGrids of the MGrid at once."""
-    out = benchmark(expression_error_fast, ALPHAS, M, K)
+    out = benchmark(expression_errors, ALPHAS, np.zeros(M, dtype=np.int64), M, K)
     assert out.shape == (M,)

@@ -13,14 +13,15 @@ alpha_ig``), the error of uniform spreading is
 * :func:`expression_error_alg1` — the paper's Algorithm 1, O(m*K^2);
 * :func:`expression_error_alg2` — the paper's Algorithm 2, O(m*K),
   using the incremental e1'/e2' updates of Eq. 17-19;
-* :func:`total_expression_error_local` — the production driver: one
-  batched, log-space-stable, windowed kernel (same math as Algorithm 2,
-  safe for large beta) over every HGrid of one slot's alpha row at once
-  (a row of the table binned by :mod:`repro.core.alpha`). It evaluates
-  each distinct (alpha, beta) pair once and each Poisson window once: the
-  distinct beta windows in blocks of similar width, the alpha windows laid
-  out flat, so it computes almost no padding;
-* :func:`expression_error_fast` — the same kernel on one MGrid's HGrids.
+* :func:`expression_errors` — the production kernel: batched,
+  log-space-stable and windowed (same math as Algorithm 2, safe for large
+  beta), over every HGrid of one slot's alpha row at once (a row of the
+  table binned by :mod:`repro.core.alpha`). It evaluates each distinct
+  (alpha, beta) pair once and each Poisson window once: the distinct beta
+  windows in blocks of similar width, the alpha windows laid out flat, so
+  it computes almost no padding;
+* :func:`total_expression_error_local` — its sum, the quantity
+  Algorithm 3 adds up.
 
 Sign convention: the paper's indicator uses I(0) = +1 (Eq. 18 includes the
 boundary term in the doubled sum); the Delta = 0 terms cancel between e1
@@ -215,20 +216,38 @@ def _checked(alphas, K: int | None) -> np.ndarray:
     return alphas
 
 
-def _expression_errors(
+def expression_errors(
     alphas: np.ndarray, mgrid_of_cell: np.ndarray, m: int, K: int | None
 ) -> np.ndarray:
-    """E_e of every HGrid, for checked 1-D ``alphas`` and their MGrid ids.
+    """E_e of every HGrid of one slot, by the batched kernel.
 
-    beta_j is its MGrid's total minus alpha_j. Equal (alpha, beta) pairs
-    share one evaluation, and the distinct pairs are sorted by beta. Each
-    distinct beta window is built once (with K = None its auto-K cap lies
-    past the window, so the window depends on beta alone), in classes of
-    similar width; C_beta and D_beta are their running sums. The pairs'
-    alpha windows are laid out flat, with no padding: every point k_h reads
-    C_beta and D_beta at q = (m-1)*k_h from its pair's class, and e1/e2 are
-    summed per pair (Algorithm 2).
+    ``alphas`` holds one per-HGrid mean (zeros included; NaN, infinite or
+    negative values raise ``ValueError``) and ``mgrid_of_cell`` its MGrid
+    id, in any order; every MGrid must have its m HGrids. For HGrid j,
+    beta_j is its MGrid's total minus alpha_j.
+
+    ``K = None`` picks the per-HGrid auto-K (Theorem III.2 guarantees
+    convergence in K; auto-K covers the Poisson mass, so the truncation
+    error is negligible). An explicit ``K >= 0`` truncates exactly as Eq. 7
+    does — k_h <= K and k_m <= (m-1)K — so the result is
+    :func:`expression_error_direct` at that K; a Poisson window lying
+    wholly beyond its truncation contributes 0.
+
+    Equal (alpha, beta) pairs share one evaluation, and the distinct pairs
+    are sorted by beta. Each distinct beta window is built once (with
+    K = None its auto-K cap lies past the window, so the window depends on
+    beta alone), in classes of similar width; C_beta and D_beta are their
+    running sums. The pairs' alpha windows are laid out flat, with no
+    padding: every point k_h reads C_beta and D_beta at q = (m-1)*k_h from
+    its pair's class, and e1/e2 are summed per pair (Algorithm 2).
     """
+    alphas = _checked(alphas, K)
+    mgrid_of_cell = np.asarray(mgrid_of_cell)
+    if alphas.ndim != 1 or alphas.shape != mgrid_of_cell.shape:
+        raise ValueError(
+            f"got {alphas.size} alphas but {mgrid_of_cell.size} MGrid ids (1-D, one per"
+            f" HGrid; shapes {alphas.shape} and {mgrid_of_cell.shape})"
+        )
     _, mg, sizes = np.unique(mgrid_of_cell, return_inverse=True, return_counts=True)
     if (sizes != m).any():
         raise ValueError(f"every MGrid must have m={m} HGrids")
@@ -282,43 +301,9 @@ def _expression_errors(
     return (((m - 1) * e[0] - e[1]) / m)[pair]
 
 
-def expression_error_fast(alphas: np.ndarray, m: int, K: int | None) -> np.ndarray:
-    """E_e for every HGrid of one MGrid, by the batched kernel.
-
-    ``alphas`` holds the m per-HGrid means (zeros included; NaN, infinite
-    or negative values raise ``ValueError``). For HGrid j,
-    beta_j = sum(alphas) - alphas[j]. Equal alphas share one evaluation.
-
-    ``K = None`` picks the per-HGrid auto-K (Theorem III.2 guarantees
-    convergence in K; auto-K covers the Poisson mass, so the truncation
-    error is negligible). An explicit ``K >= 0`` truncates exactly as Eq. 7
-    does — k_h <= K and k_m <= (m-1)K — so the result is
-    :func:`expression_error_direct` at that K; a Poisson window lying
-    wholly beyond its truncation contributes 0.
-    """
-    alphas = _checked(alphas, K)
-    if alphas.ndim != 1:
-        raise ValueError("alphas must be 1-D (the m HGrids of one MGrid)")
-    if m != alphas.size:
-        raise ValueError(f"m={m} but got {alphas.size} alphas")
-    return _expression_errors(alphas, np.zeros(m, dtype=np.int64), m, K)
-
-
 def total_expression_error_local(
     alphas: np.ndarray, mgrid_of_cell: np.ndarray, m: int, K: int | None = None
 ) -> float:
     """sum_ij E_e(i,j) over all HGrids of one slot (the quantity
-    Algorithm 3 adds up).
-
-    ``alphas`` holds one value per HGrid and ``mgrid_of_cell`` its MGrid
-    id, in any order; every MGrid must have its m HGrids. The whole slot —
-    one row of :func:`repro.core.alpha.alpha_by_hgrid` — goes through the
-    batched kernel in a few numpy calls per block, on the driver.
-    """
-    alphas = _checked(alphas, K)
-    mgrid_of_cell = np.asarray(mgrid_of_cell)
-    if alphas.ndim != 1 or alphas.shape != mgrid_of_cell.shape:
-        raise ValueError(
-            f"got {alphas.size} alphas but {mgrid_of_cell.size} MGrid ids (one per HGrid)"
-        )
-    return float(_expression_errors(alphas, mgrid_of_cell, m, K).sum())
+    Algorithm 3 adds up): :func:`expression_errors` summed."""
+    return float(expression_errors(alphas, mgrid_of_cell, m, K).sum())

@@ -36,27 +36,19 @@ def demand_tensor(
     return t.reshape(days, slots, spec.n)
 
 
-def predictions_for(
-    tensor: np.ndarray, model: Predictor, days: list[int], slot: int
-) -> np.ndarray:
-    """Model predictions per MGrid for ``slot`` on each of ``days``: (k, n),
-    from one forecast call."""
-    return model.predict(tensor, np.asarray(days), slot)
-
-
 def total_model_error(
     tensor: np.ndarray, model: Predictor, *, eval_days: list[int], slot: int
 ) -> float:
     """``sum_i E|lambda_hat_i - lambda_i|`` for one slot, averaged over
     ``eval_days`` — the paper's ``n * MAE(f)`` (Eq. 20). The model must
     already be fitted; eval days must be disjoint from its training days."""
-    preds = predictions_for(tensor, model, eval_days, slot)
+    preds = model.predict(tensor, np.asarray(eval_days), slot)
     actual = tensor[eval_days, slot, :]
     return float(np.abs(preds - actual).mean(axis=0).sum())
 
 
 def mae(tensor: np.ndarray, model: Predictor, *, eval_days: list[int], slot: int) -> float:
     """Plain per-sample MAE(f) of the fitted model on ``eval_days`` x grids."""
-    preds = predictions_for(tensor, model, eval_days, slot)
+    preds = model.predict(tensor, np.asarray(eval_days), slot)
     actual = tensor[eval_days, slot, :]
     return float(np.abs(preds - actual).mean())

@@ -11,7 +11,6 @@ so HGrids that saw no event are counted like any other.
 import numpy as np
 
 from repro.core.grids import EventTable, GridSpec, mgrid_of_hgrid
-from repro.core.model_error import predictions_for
 from repro.models.base import Predictor
 
 
@@ -36,7 +35,7 @@ def measured_real_error(
     eval_days: list[int],
 ) -> float:
     """``sum_ij E_r(i,j)`` estimated over ``eval_days`` for one slot."""
-    preds = predictions_for(tensor, model, eval_days, slot)  # (k, n)
+    preds = model.predict(tensor, np.asarray(eval_days), slot)  # (k, n)
     lam_hat = preds[:, mgrid_of_hgrid(spec)] / spec.m  # lambda_hat_ij per (day, hgrid)
     counts = hgrid_counts(events, spec, slot=slot, days=eval_days)
     return float(np.abs(lam_hat - counts).sum()) / len(eval_days)

@@ -11,7 +11,10 @@ and the error curves share one cache. Per (n, slot) the evaluator trains
 the model fresh and runs the batched Algorithm-2 kernel locally over every
 HGrid of that slot's alpha row at once, matching the paper's cost anatomy
 where "the time cost of training the model is considerable when
-calculating e(sqrt(n))".
+calculating e(sqrt(n))". :meth:`UpperBoundEvaluator.evaluate` is the only
+code that fits a per-(n, slot) model and adds up a bound: its result
+carries the fitted model, so the error curves (real error) and Table IV's
+optimal ratio (POLAR forecasts) read the memo instead of refitting.
 """
 import time
 from dataclasses import dataclass, field
@@ -24,17 +27,20 @@ from repro.core.alpha import alpha_by_hgrid
 from repro.core.expression_error import total_expression_error_local
 from repro.core.grids import EventTable, GridSpec, grid_spec
 from repro.core.model_error import demand_tensor, total_model_error
+from repro.models.base import Predictor
 from repro.synth_data import CityConfig, trip_columns
 
 
 @dataclass(frozen=True)
 class UpperBoundResult:
-    """One e(sqrt(n)) evaluation: the bound and its two components."""
+    """One e(sqrt(n)) evaluation: the bound, its two components and the
+    model fitted for it."""
 
     n_side: int
     slot: int
     model_error: float
     expr_error: float
+    model: Predictor = field(compare=False, repr=False)
 
     @property
     def bound(self) -> float:
@@ -93,7 +99,8 @@ class UpperBoundEvaluator:
     ``evaluate(n_side, slot)`` returns the bound for n = n_side^2 at one
     time slot. Results are memoised per (n_side, slot); ``calls`` counts
     distinct bound computations and ``elapsed`` their total wall time —
-    the quantities Table IV reports as search cost. Count tables come from
+    the quantities Table IV reports as search cost. A slot outside
+    ``[0, slots)`` raises ``ValueError``. Count tables come from
     ``_counts``: a city's shared cache (:meth:`for_city`) or a private one.
     """
 
@@ -127,6 +134,8 @@ class UpperBoundEvaluator:
                    st.train_days, st.val_days, st.K, _counts=data.counts)
 
     def evaluate(self, n_side: int, slot: int) -> UpperBoundResult:
+        if not 0 <= slot < self.slots:
+            raise ValueError(f"slot {slot} is outside [0, {self.slots})")
         key = (n_side, slot)
         if key in self._bounds:
             return self._bounds[key]
@@ -137,7 +146,7 @@ class UpperBoundEvaluator:
         me = total_model_error(tensor, model, eval_days=self.val_days, slot=slot)
         alphas, mg = self._counts.alphas(n_side)
         ee = total_expression_error_local(alphas[slot], mg, spec.m, self.K)
-        res = UpperBoundResult(n_side, slot, me, ee)
+        res = UpperBoundResult(n_side, slot, me, ee, model)
         self._bounds[key] = res
         self.calls += 1
         self.elapsed += time.perf_counter() - t0

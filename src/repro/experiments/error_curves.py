@@ -1,22 +1,26 @@
 """Error-vs-n curves (paper §V-C, Figures 3-5 — reproduced as data).
 
-For a sweep of grid sizes n this computes, per the paper's definitions:
+For a sweep of grid sizes n this reports, per the paper's definitions:
 total expression error (Algorithm 2), total model error (Eq. 20), their sum
 (the upper bound of Theorem II.1), and the *measured* real error on
-held-out days. Figures are out of scope; the trend assertions in
-``tests/test_trends.py`` and the table harnesses consume these frames.
+held-out days. The first three are the Algorithm-3 evaluator's own result
+per (n, slot); the real error is measured with the model that result
+carries, so a curve fits one model per side. Figures are out of scope; the
+trend assertions in ``tests/test_trends.py`` and the table harnesses
+consume these frames.
 """
 import pandas as pd
 from pyspark.sql import SparkSession
 
-# perfbench/tracer.py patches these names here: the local kernel driver as
-# ``total_expression_error``; ``alpha_by_hgrid`` and ``demand_tensor`` only for it
+# kept only so perfbench/tracer.py can patch these names here (the
+# benchmark change of ROADMAP item 2 deletes them); this module calls none
 from repro.core.alpha import alpha_by_hgrid  # noqa: F401
-from repro.core.expression_error import (
+from repro.core.expression_error import (  # noqa: F401
     total_expression_error_local as total_expression_error,
 )
 from repro.core.model_error import demand_tensor, total_model_error  # noqa: F401
 from repro.core.real_error import measured_real_error
+from repro.core.upper_bound import UpperBoundEvaluator
 from repro.experiments.config import CityData
 from repro.models import MODELS
 
@@ -34,24 +38,23 @@ def error_curves(
     model and real error are measured on validation weekdays."""
     st = data.settings
     slot = st.default_slot if slot is None else slot
+    evaluator = UpperBoundEvaluator.for_city(spark, data, MODELS[model_name])
     rows = []
     for s in n_sides:
-        spec, tensor = data.counts.spec(s), data.counts.tensor(s)
-        model = MODELS[model_name]().fit(tensor, st.train_days, slot)
-        me = total_model_error(tensor, model, eval_days=st.val_days, slot=slot)
-        alphas, mg = data.counts.alphas(s)
-        ee = total_expression_error(alphas[slot], mg, spec.m, st.K)
+        r = evaluator.evaluate(s, slot)
+        spec = data.counts.spec(s)
         re = measured_real_error(
-            data.counts.table, spec, tensor, model, slot=slot, eval_days=st.val_days
+            data.counts.table, spec, data.counts.tensor(s), r.model,
+            slot=slot, eval_days=st.val_days,
         )
         rows.append(
             {
                 "n_side": s,
                 "n": spec.n,
                 "m": spec.m,
-                "model_error": me,
-                "expr_error": ee,
-                "bound": me + ee,
+                "model_error": r.model_error,
+                "expr_error": r.expr_error,
+                "bound": r.bound,
                 "real_error": re,
             }
         )

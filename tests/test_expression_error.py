@@ -14,13 +14,12 @@ from repro.core.alpha import alpha_by_hgrid
 from repro.core.expression_error import (
     _auto_K,
     _BLOCK_CELLS,
-    _expression_errors,
     _log_factorial,
     _window_bounds,
     expression_error_alg1,
     expression_error_alg2,
     expression_error_direct,
-    expression_error_fast,
+    expression_errors,
     total_expression_error_local,
 )
 from repro.core.grids import grid_spec
@@ -37,6 +36,11 @@ CASES = [
 ]
 
 
+def _one_mgrid(alphas, m, K):
+    """The kernel over one MGrid holding every HGrid of ``alphas``."""
+    return expression_errors(alphas, np.zeros(np.size(alphas), dtype=np.int64), m, K)
+
+
 @pytest.mark.parametrize("alpha,beta,m,K", CASES)
 class TestImplementationsAgree:
     def test_alg1_equals_direct(self, alpha, beta, m, K):
@@ -51,7 +55,7 @@ class TestImplementationsAgree:
 
     def test_fast_matches_direct(self, alpha, beta, m, K):
         alphas = np.concatenate([[alpha], np.full(m - 1, beta / max(m - 1, 1))])
-        got = expression_error_fast(alphas, m, K)[0]
+        got = _one_mgrid(alphas, m, K)[0]
         assert got == pytest.approx(
             expression_error_direct(alpha, beta, m, K), rel=1e-8, abs=1e-10
         )
@@ -64,13 +68,13 @@ def test_matches_monte_carlo(alpha, beta, m):
     lm = rng.poisson(beta, 500_000)
     mc = np.abs((m - 1) * lh - lm).mean() / m
     alphas = np.concatenate([[alpha], np.full(m - 1, beta / (m - 1))])
-    assert expression_error_fast(alphas, m, None)[0] == pytest.approx(mc, rel=0.01)
+    assert _one_mgrid(alphas, m, None)[0] == pytest.approx(mc, rel=0.01)
 
 
 def test_m_equals_one_is_zero():
     assert expression_error_alg1(5.0, 0.0, 1, 50) == 0.0
     assert expression_error_alg2(5.0, 0.0, 1, 50) == 0.0
-    assert expression_error_fast(np.array([5.0]), 1, 50)[0] == 0.0
+    assert _one_mgrid(np.array([5.0]), 1, 50)[0] == 0.0
 
 
 class TestConvergenceInK:
@@ -86,7 +90,7 @@ class TestConvergenceInK:
     @pytest.mark.parametrize("alpha,beta,m", [(1.5, 6.0, 4), (4.0, 2.0, 3)])
     def test_converges_to_auto_K(self, alpha, beta, m):
         alphas = np.concatenate([[alpha], np.full(m - 1, beta / (m - 1))])
-        ref = expression_error_fast(alphas, m, None)[0]
+        ref = _one_mgrid(alphas, m, None)[0]
         assert expression_error_direct(alpha, beta, m, 120) == pytest.approx(ref, rel=1e-6)
 
 
@@ -127,32 +131,34 @@ def test_fast_equals_direct_property(alpha, beta, m, K):
     far below the Poisson mass and with beta's window beyond (m-1)K."""
     alphas = np.concatenate([[alpha], np.full(m - 1, beta / (m - 1))])
     b = float(alphas.sum()) - alpha
-    assert expression_error_fast(alphas, m, K)[0] == pytest.approx(
+    assert _one_mgrid(alphas, m, K)[0] == pytest.approx(
         expression_error_direct(alpha, b, m, K), rel=1e-8, abs=1e-10
     )
 
 
 class TestFastKernel:
+    """The kernel on the HGrids of one MGrid."""
+
     def test_shape_and_dedupe(self):
         alphas = np.array([1.0, 1.0, 2.0, 0.0])
-        out = expression_error_fast(alphas, 4, None)
+        out = _one_mgrid(alphas, 4, None)
         assert out.shape == (4,)
         assert out[0] == out[1]  # identical alphas share the evaluation
         assert (out >= 0).all()
 
     def test_rejects_bad_m(self):
-        with pytest.raises(ValueError):
-            expression_error_fast(np.ones(4), 5, None)
+        with pytest.raises(ValueError, match="every MGrid must have m=5"):
+            _one_mgrid(np.ones(4), 5, None)
 
     def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            expression_error_fast(np.ones((2, 2)), 4, None)
+        with pytest.raises(ValueError, match=r"shapes \(2, 2\) and \(4,\)"):
+            _one_mgrid(np.ones((2, 2)), 4, None)
 
     def test_window_beyond_truncation(self):
         """Poisson(beta) lies wholly beyond (m-1)K: every kept Eq. 7 term
         is negligible, as Alg. 2 and the direct sum agree."""
         alphas = np.array([1.0] + [50.0] * 63)
-        out = expression_error_fast(alphas, 64, K=5)
+        out = _one_mgrid(alphas, 64, K=5)
         assert out[0] == expression_error_alg2(1.0, 3150.0, 64, 5) == 0.0
         assert out[0] == expression_error_direct(1.0, 3150.0, 64, 5)
 
@@ -167,22 +173,22 @@ class TestFastKernel:
     )
     def test_rejects_bad_alpha(self, bad, match):
         with pytest.raises(ValueError, match=match):
-            expression_error_fast(np.array([1.0, bad, 2.0]), 3, None)
+            _one_mgrid(np.array([1.0, bad, 2.0]), 3, None)
 
     def test_rejects_negative_K(self):
         with pytest.raises(ValueError, match="K must be >= 0"):
-            expression_error_fast(np.ones(4), 4, -1)
+            _one_mgrid(np.ones(4), 4, -1)
 
     def test_zero_alpha_still_positive_error(self):
         """An empty HGrid inside a busy MGrid still gets beta/m of error."""
         alphas = np.array([0.0, 8.0, 8.0, 8.0])
-        out = expression_error_fast(alphas, 4, None)
+        out = _one_mgrid(alphas, 4, None)
         assert out[0] == pytest.approx(24.0 / 4, rel=1e-6)
 
     def test_large_beta_stable(self):
         """Log-space windowing avoids underflow where Alg. 1/2 cannot go."""
         alphas = np.concatenate([[5.0], np.full(255, 30.0)])
-        out = expression_error_fast(alphas, 256, None)
+        out = _one_mgrid(alphas, 256, None)
         assert np.isfinite(out).all() and (out >= 0).all()
 
 
@@ -213,7 +219,7 @@ class TestLocalDriver:
         )
         row = alphas[TESTS.default_slot]
         per = pd.Series(row).groupby(mg).apply(
-            lambda g: expression_error_fast(g.to_numpy(), spec.m, None).sum()
+            lambda g: _one_mgrid(g.to_numpy(), spec.m, None).sum()
         )
         assert len(per) == spec.n and (per >= 0).all()
         assert total_expression_error_local(row, mg, spec.m) == pytest.approx(
@@ -362,7 +368,7 @@ def _padded_kernel(alphas, mgrid_of_cell, m, K):
 
 def _assert_matches_padded(alphas, mg, m, K=None):
     np.testing.assert_allclose(
-        _expression_errors(alphas, mg, m, K), _padded_kernel(alphas, mg, m, K), rtol=1e-12, atol=0
+        expression_errors(alphas, mg, m, K), _padded_kernel(alphas, mg, m, K), rtol=1e-12, atol=0
     )
 
 
@@ -398,7 +404,7 @@ class TestEqualsPaddedKernel:
     def test_all_zero_alphas(self, K):
         alphas = np.zeros(64)
         _assert_matches_padded(alphas, np.repeat(np.arange(16), 4), 4, K)
-        assert not _expression_errors(alphas, np.repeat(np.arange(16), 4), 4, K).any()
+        assert not expression_errors(alphas, np.repeat(np.arange(16), 4), 4, K).any()
 
     @pytest.mark.parametrize("K", [None, 2])
     def test_m_equals_two(self, K):
@@ -417,7 +423,7 @@ class TestEqualsPaddedKernel:
         alphas = np.array([0.0, 1.0, 300.0, 300.0, 0.0, 0.0, 3.0, 3.0, 500.0, 0.0, 0.0, 0.0])
         mg = np.array([0, 1, 0, 1, 1, 0, 0, 1, 2, 2, 2, 2])
         _assert_matches_padded(alphas, mg, 4, 2)
-        assert _expression_errors(alphas, mg, 4, 2)[[2, 3, 8]].tolist() == [0.0, 0.0, 0.0]
+        assert expression_errors(alphas, mg, 4, 2)[[2, 3, 8]].tolist() == [0.0, 0.0, 0.0]
 
 
 def _spread_row(seed: int):
@@ -460,7 +466,7 @@ def test_padding_stays_below_twice_the_windows(monkeypatch):
 
     unpadded = points(pairs[:, 1]) + points(np.unique(pairs[:, 0]))
     kernel = _points_evaluated(
-        monkeypatch, ee, "_log_pois_window", lambda: _expression_errors(alphas, mg, 4, None)
+        monkeypatch, ee, "_log_pois_window", lambda: expression_errors(alphas, mg, 4, None)
     )
     assert unpadded <= kernel <= 2 * unpadded
     padded = _points_evaluated(

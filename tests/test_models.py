@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.grids import grid_spec
-from repro.core.model_error import demand_tensor, mae, predictions_for
+from repro.core.model_error import demand_tensor, mae
 from repro.experiments.config import TESTS
 from repro.models import MODELS, DeepSTLike, DmvstLike, FlatMLP
 from repro.models.base import closeness_window, period_days, trend_days
@@ -239,7 +239,6 @@ class TestBatchedForecastsEqualPerSample:
         got = model.predict(t, np.array(days), slot or 0)
         assert got.shape == want.shape == (len(days), t.shape[2])
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(predictions_for(t, model, days, slot or 0), want)
 
     def test_all_slots_of_one_day(self, name, slot, tensor_name):
         t = TENSORS[tensor_name]()

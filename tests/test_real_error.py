@@ -23,9 +23,7 @@ def setup(nyc):
 def _brute_real_error(nyc, spec, tensor, model, slot, days):
     """Reference: materialise the full HGrid lattice per day in pandas, from
     per-HGrid counts aggregated in Spark."""
-    from repro.core.model_error import predictions_for
-
-    preds = predictions_for(tensor, model, days, slot)
+    preds = model.predict(tensor, np.asarray(days), slot)
     counts = (
         with_grid_ids(nyc.events, spec)
         .where((F.col("slot") == slot) & F.col("day").isin(days))

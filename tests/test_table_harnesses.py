@@ -9,6 +9,7 @@ from repro.experiments.table3 import (
     run_table3,
 )
 from repro.experiments.table4 import run_table4
+from repro.models import DeepSTLike
 
 
 class TestCaseStudyRun:
@@ -64,9 +65,30 @@ def test_find_optimal_s_in_sweep(spark, nyc):
 
 class TestTable4:
     @pytest.fixture(scope="class")
-    def table(self, spark, xian):
-        # two slots keep the unit-test runtime modest; jobs sweep all 48
-        return run_table4(spark, xian, slots=[17, 37])
+    def run(self, spark, xian):
+        """The table and the number of DeepST fits made while building it."""
+        fits = []
+        fit = DeepSTLike.fit
+
+        def counted(self, *args, **kwargs):
+            fits.append(self)
+            return fit(self, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DeepSTLike, "fit", counted)
+            # two slots keep the unit-test runtime modest; jobs sweep all 48
+            table = run_table4(spark, xian, slots=[17, 37])
+        return table, len(fits)
+
+    @pytest.fixture(scope="class")
+    def table(self, run):
+        return run[0]
+
+    def test_optimal_ratio_trains_no_model(self, run):
+        """Every fit is a bound evaluation: the OR phase forecasts with the
+        brute-force evaluator's memoised models."""
+        table, fits = run
+        assert fits == table["bound_calls"].sum()
 
     def test_rows_and_columns(self, table):
         assert len(table) == 3

@@ -1,8 +1,11 @@
 """Tests for the Algorithm-3 bound evaluator."""
 import pytest
 
+from repro.core.model_error import total_model_error
 from repro.core.upper_bound import UpperBoundEvaluator
+from repro.experiments import error_curves as curves_module
 from repro.experiments.config import TESTS
+from repro.experiments.error_curves import error_curves
 from repro.models import MODELS
 
 
@@ -15,6 +18,33 @@ def test_bound_is_sum_of_components(evaluator):
     r = evaluator.evaluate(4, TESTS.default_slot)
     assert r.bound == pytest.approx(r.model_error + r.expr_error)
     assert r.model_error >= 0 and r.expr_error >= 0
+
+
+def test_result_carries_its_model(nyc, evaluator):
+    """The fitted model comes with the result and reproduces its model
+    error; it takes no part in comparing results."""
+    r = evaluator.evaluate(4, TESTS.default_slot)
+    tensor = nyc.counts.tensor(4)
+    assert total_model_error(
+        tensor, r.model, eval_days=TESTS.val_days, slot=TESTS.default_slot
+    ) == r.model_error
+    assert r == type(r)(r.n_side, r.slot, r.model_error, r.expr_error, model=None)
+
+
+@pytest.mark.parametrize("slot", [-1, TESTS.slots])
+def test_rejects_slot_out_of_range(spark, nyc, slot):
+    """A slot outside [0, slots) raises before any model is fitted (numpy
+    would read slot -1 as the last slot's alphas)."""
+    fits = []
+
+    def factory():
+        fits.append(slot)
+        return MODELS["deepst"]()
+
+    ev = UpperBoundEvaluator.for_city(spark, nyc, factory)
+    with pytest.raises(ValueError, match=rf"slot {slot} is outside \[0, {TESTS.slots}\)"):
+        ev.evaluate(4, slot)
+    assert fits == [] and ev.calls == 0
 
 
 def test_memoised(evaluator):
@@ -84,3 +114,34 @@ def test_expr_error_matches_spark_pipeline(nyc, nyc_pdf, evaluator):
     assert r.expr_error == total_expression_error_local(
         alphas, mgrid_of_hgrid(spec), spec.m, TESTS.K
     )
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("error_curves computed a bound component itself")
+
+
+@pytest.mark.parametrize("name", ["mlp", "deepst", "dmvst"])
+def test_error_curves_read_the_evaluator(spark, nyc, monkeypatch, name):
+    """A curve row's model error, expression error and bound are exactly the
+    evaluator's, and the curve fits one model per side: the model that the
+    real error is measured with comes from the evaluator's result."""
+    sides = [4, 6]
+    want = UpperBoundEvaluator.for_city(spark, nyc, MODELS[name])
+    want = [want.evaluate(s, TESTS.default_slot) for s in sides]
+    fits = []
+    fit = MODELS[name].fit
+
+    def counted(self, *args, **kwargs):
+        fits.append(self)
+        return fit(self, *args, **kwargs)
+
+    monkeypatch.setattr(MODELS[name], "fit", counted)
+    for attr in ("demand_tensor", "alpha_by_hgrid", "total_model_error", "total_expression_error"):
+        monkeypatch.setattr(curves_module, attr, _never)
+    df = error_curves(spark, nyc, model_name=name, n_sides=sides)
+    assert len(fits) == len(sides)
+    assert df["n_side"].tolist() == sides
+    for row, r in zip(df.itertuples(), want):
+        assert (row.model_error, row.expr_error, row.bound) == (
+            r.model_error, r.expr_error, r.bound
+        )
