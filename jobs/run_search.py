@@ -24,10 +24,12 @@ def main() -> None:
     ap.add_argument("--slot", type=int, default=None)
     args = ap.parse_args()
     st = BENCH if args.scale == "bench" else TESTS
+    slot = st.default_slot if args.slot is None else args.slot
+    if not 0 <= slot < st.slots:
+        ap.error(f"--slot must be in [0, {st.slots}), got {slot}")
     spark = get_spark("ogss-search")
     data = load_city(spark, args.city, st)
-    slot = st.default_slot if args.slot is None else args.slot
-    evaluator = UpperBoundEvaluator.for_city(spark, data, MODELS[args.model])
+    evaluator = UpperBoundEvaluator.for_city(data, MODELS[args.model])
     fn = evaluator.bound_fn(slot)
     if args.algo == "ternary":
         res = ternary_search(fn, st.s_min, st.s_max)

@@ -28,7 +28,7 @@ def shape_failures(df) -> list[str]:
 def main() -> None:
     argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
     spark = get_spark("table3")
-    df = run_table3(spark, load_city(spark, "nyc", BENCH))
+    df = run_table3(load_city(spark, "nyc", BENCH))
     spark.stop()
     df.to_csv(ROOT / "results" / "table3_nyc.csv", index=False)
     print(df.to_string(index=False))

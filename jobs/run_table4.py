@@ -49,13 +49,15 @@ def main() -> None:
         f"results/ is written only at {COMMITTED_STRIDE}",
     )
     args = ap.parse_args()
+    if args.slots_stride < 1:
+        ap.error(f"--slots-stride must be at least 1, got {args.slots_stride}")
     slots = list(range(0, BENCH.slots, args.slots_stride))
     spark = get_spark("table4")
     failures = []
     for city in args.cities:
         data = load_city(spark, city, BENCH)
         t0 = time.perf_counter()
-        df = run_table4(spark, data, slots=slots)
+        df = run_table4(data, slots=slots)
         wall = time.perf_counter() - t0
         if args.slots_stride == COMMITTED_STRIDE:
             df.to_csv(ROOT / "results" / f"table4_{city}.csv", index=False)

@@ -104,6 +104,7 @@ class UpperBoundEvaluator:
     ``_counts``: a city's shared cache (:meth:`for_city`) or a private one.
     """
 
+    # unread: perfbench binds it (tests/test_perfbench_contract.py, ROADMAP item 2)
     spark: SparkSession
     events: DataFrame
     cfg: CityConfig
@@ -127,10 +128,10 @@ class UpperBoundEvaluator:
             )
 
     @classmethod
-    def for_city(cls, spark: SparkSession, data, model_factory) -> "UpperBoundEvaluator":
+    def for_city(cls, data, model_factory) -> "UpperBoundEvaluator":
         """An evaluator over ``data`` (a ``CityData``) sharing ``data.counts``."""
         st = data.settings
-        return cls(spark, data.events, data.cfg, st.N_side, model_factory, st.days, st.slots,
+        return cls(None, data.events, data.cfg, st.N_side, model_factory, st.days, st.slots,
                    st.train_days, st.val_days, st.K, _counts=data.counts)
 
     def evaluate(self, n_side: int, slot: int) -> UpperBoundResult:

@@ -25,6 +25,18 @@ does). Each 30-minute slot:
 The property the paper's case study relies on emerges from 1+2: weights
 spread uniformly over huge MGrids waste drivers on empty cells (small n),
 noisy per-grid predictions send them to the wrong cells (large n).
+
+The two policies are the first stage of the dispatchers the case study
+replays, each the forecast spread uniformly over every MGrid
+(:func:`spread_to_cells`, the paper's maximum-entropy assumption):
+
+* POLAR (Tong et al., VLDB'17) maximises the number of served orders, so
+  it pre-assigns drivers by the *predicted order count*
+  (:func:`polar_weights`);
+* LS (Cheng et al., ICDE'19) maximises total *revenue*, so it scales that
+  count by each cell's expected fare, the training days' mean fare per
+  cell smoothed toward the city mean so cold cells do not zero out
+  (:func:`ls_weights`, :func:`mean_fare_by_cell`).
 """
 from dataclasses import dataclass
 
@@ -36,6 +48,8 @@ from repro.synth_data import CityConfig
 
 #: distance a matched driver covers per 30-minute slot (25 km/h)
 KM_PER_SLOT = 12.5
+#: pseudo-count of city-mean fares added to every cell's fare history
+FARE_SMOOTH = 8.0
 
 
 @dataclass(frozen=True)
@@ -69,14 +83,39 @@ def day_orders(
 def spread_to_cells(pred_mgrid: np.ndarray, spec: GridSpec, P: int) -> np.ndarray:
     """Uniformly spread per-MGrid values onto the P-lattice (the paper's
     maximum-entropy within-MGrid assumption): cell value = value of its
-    MGrid / (P-cells per MGrid). Returns a length P*P vector."""
-    if pred_mgrid.size != spec.n:
-        raise ValueError(f"expected {spec.n} MGrid values, got {pred_mgrid.size}")
+    MGrid / (P-cells per MGrid). The n MGrid values are the last axis of
+    ``pred_mgrid``, which becomes a length P*P axis."""
+    if pred_mgrid.shape[-1:] != (spec.n,):
+        raise ValueError(f"expected {spec.n} MGrid values, got shape {pred_mgrid.shape}")
     # map by cell centre: P-cell k spans [k/P, (k+1)/P) in unit coords
     idx = np.minimum(((2 * np.arange(P) + 1) * spec.n_side) // (2 * P), spec.n_side - 1)
     mg = (idx[:, None] * spec.n_side + idx[None, :]).ravel()  # row-major (y, x)
     cells_per_mgrid = np.bincount(mg, minlength=spec.n).astype(float)
-    return pred_mgrid[mg] / cells_per_mgrid[mg]
+    return pred_mgrid[..., mg] / cells_per_mgrid[mg]
+
+
+def polar_weights(pred_by_slot: np.ndarray, spec: GridSpec, P: int) -> np.ndarray:
+    """POLAR's weights: MGrid count forecasts, n on the last axis (one row
+    per slot), spread to P*P cell weights."""
+    return spread_to_cells(pred_by_slot, spec, P)
+
+
+def mean_fare_by_cell(
+    events: EventTable, cfg: CityConfig, *, P: int, train_days: list[int]
+) -> np.ndarray:
+    """Per-P-cell expected fare from training history (shrunk to the mean)."""
+    spec = grid_spec(cfg, P, P)
+    fares = events.bincount(spec, P * P, days=train_days, weights="revenue")
+    counts = events.bincount(spec, P * P, days=train_days)
+    city_mean = fares.sum() / max(counts.sum(), 1.0)
+    return (fares + FARE_SMOOTH * city_mean) / (counts + FARE_SMOOTH)
+
+
+def ls_weights(
+    pred_by_slot: np.ndarray, spec: GridSpec, P: int, fare_by_cell: np.ndarray
+) -> np.ndarray:
+    """LS's revenue-seeking weights: POLAR's x expected fare per cell."""
+    return spread_to_cells(pred_by_slot, spec, P) * fare_by_cell
 
 
 def allocate(weights: np.ndarray, total: int) -> np.ndarray:

@@ -26,6 +26,7 @@ from repro.models import MODELS
 
 
 def error_curves(
+    # unread: perfbench binds it (tests/test_perfbench_contract.py, ROADMAP item 2)
     spark: SparkSession,
     data: CityData,
     *,
@@ -38,7 +39,7 @@ def error_curves(
     model and real error are measured on validation weekdays."""
     st = data.settings
     slot = st.default_slot if slot is None else slot
-    evaluator = UpperBoundEvaluator.for_city(spark, data, MODELS[model_name])
+    evaluator = UpperBoundEvaluator.for_city(data, MODELS[model_name])
     rows = []
     for s in n_sides:
         r = evaluator.evaluate(s, slot)

@@ -17,9 +17,14 @@ from pyspark.sql import SparkSession
 from repro.core.model_error import demand_tensor  # noqa: F401 — patched by perfbench/tracer.py
 from repro.core.search import iterative_method
 from repro.core.upper_bound import UpperBoundEvaluator
-from repro.dispatch.ls import ls_weights, mean_fare_by_cell
-from repro.dispatch.polar import polar_weights
-from repro.dispatch.simulator import DispatchMetrics, day_orders, simulate_day
+from repro.dispatch.simulator import (
+    DispatchMetrics,
+    day_orders,
+    ls_weights,
+    mean_fare_by_cell,
+    polar_weights,
+    simulate_day,
+)
 from repro.experiments.config import ITERATIVE_B, CityData
 from repro.models import DeepSTLike
 from repro.routing.daif import run_daif_day
@@ -47,6 +52,7 @@ def _predictions_by_slot(data: CityData, s: int) -> np.ndarray:
 
 
 def case_study_run(
+    # unread: perfbench binds it (tests/test_perfbench_contract.py, ROADMAP item 2)
     spark: SparkSession,
     data: CityData,
     s: int,
@@ -88,11 +94,11 @@ def case_study_run(
     )
 
 
-def find_optimal_s(spark: SparkSession, data: CityData) -> int:
+def find_optimal_s(data: CityData) -> int:
     """GridTuner's tuned side: Iterative Method (Alg. 5) over the DeepST
     substitute's bound at the default slot."""
     st = data.settings
-    evaluator = UpperBoundEvaluator.for_city(spark, data, DeepSTLike)
+    evaluator = UpperBoundEvaluator.for_city(data, DeepSTLike)
     res = iterative_method(
         evaluator.bound_fn(st.default_slot), st.s_min, st.s_max, p=st.s_default, b=ITERATIVE_B
     )
@@ -110,22 +116,17 @@ TABLE3_ROWS = (
 )
 
 
-def run_table3(
-    spark: SparkSession,
-    data: CityData,
-    *,
-    optimal_s: int | None = None,
-) -> pd.DataFrame:
+def run_table3(data: CityData, *, optimal_s: int | None = None) -> pd.DataFrame:
     """Produce Table III: one row per (metric, algorithm) with the original
     n, the tuned n, both metric values, and the improvement ratio."""
     st = data.settings
     if optimal_s is None:
-        optimal_s = find_optimal_s(spark, data)
+        optimal_s = find_optimal_s(data)
     runs: dict[int, CaseStudyRun] = {}
 
     def at(s: int) -> CaseStudyRun:
         if s not in runs:
-            runs[s] = case_study_run(spark, data, s)
+            runs[s] = case_study_run(None, data, s)
         return runs[s]
 
     def metric(run: CaseStudyRun, metric_name: str, algo: str) -> float:

@@ -25,21 +25,21 @@ from functools import cache
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.core.search import brute_force, iterative_method, ternary_search
 from repro.core.upper_bound import UpperBoundEvaluator
-from repro.dispatch.simulator import allocate, day_orders, matched, spread_to_cells
+from repro.dispatch.simulator import allocate, day_orders, matched, polar_weights
 from repro.experiments.config import ITERATIVE_B, CityData
 from repro.models import DeepSTLike
 
 
-def run_table4(
-    spark: SparkSession, data: CityData, *, slots: list[int] | None = None
-) -> pd.DataFrame:
-    """Table IV rows for one city (cost, probability, OR per algorithm)."""
+def run_table4(data: CityData, *, slots: list[int] | None = None) -> pd.DataFrame:
+    """Table IV rows for one city (cost, probability, OR per algorithm);
+    ``ValueError`` for an empty slot list, before any count is filled."""
     st = data.settings
     slots = list(range(st.slots)) if slots is None else slots
+    if not slots:
+        raise ValueError("Table IV needs at least one slot")
 
     algos = {
         "Ternary Search": lambda fn: ternary_search(fn, st.s_min, st.s_max),
@@ -57,7 +57,7 @@ def run_table4(
     stats: dict[str, dict] = {}
     evaluators = {}
     for name, algo in algos.items():
-        evaluator = evaluators[name] = UpperBoundEvaluator.for_city(spark, data, DeepSTLike)
+        evaluator = evaluators[name] = UpperBoundEvaluator.for_city(data, DeepSTLike)
         t0 = time.perf_counter()
         per_slot = {}
         for slot in slots:
@@ -82,7 +82,7 @@ def run_table4(
         forecast by the brute-force evaluator's memoised model."""
         model = evaluators["Brute-force Search"].evaluate(s, slot).model
         pred = model.predict(data.counts.tensor(s), st.test_day, slot)
-        alloc = allocate(spread_to_cells(pred, data.counts.spec(s), P), n_drivers)
+        alloc = allocate(polar_weights(pred, data.counts.spec(s), P), n_drivers)
         return int(matched(alloc, cells_by_slot.get(slot, np.empty(0, dtype=int))).sum())
 
     optimal = found["Brute-force Search"]

@@ -45,15 +45,15 @@ def _fresh(city: CityData) -> CityData:
     return CityData(cfg=city.cfg, events=city.events, settings=city.settings)
 
 
-def test_table4_one_aggregation_per_side(spark, xian, aggregations):
-    run_table4(spark, _fresh(xian), slots=[17, 37])
+def test_table4_one_aggregation_per_side(xian, aggregations):
+    run_table4(_fresh(xian), slots=[17, 37])
     swept = list(range(TESTS.s_min, TESTS.s_max + 1))
     assert sorted(aggregations["tensor"]) == swept
     assert sorted(aggregations["alpha"]) == swept
 
 
-def test_table3_one_aggregation_per_side(spark, nyc, aggregations):
-    run_table3(spark, _fresh(nyc))
+def test_table3_one_aggregation_per_side(nyc, aggregations):
+    run_table3(_fresh(nyc))
     tensor_sides = aggregations["tensor"]
     assert len(tensor_sides) == len(set(tensor_sides))
     assert sorted(aggregations["alpha"]) == sorted(tensor_sides)

@@ -5,18 +5,20 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.grids import grid_spec, with_grid_ids
-from repro.dispatch.ls import ls_weights, mean_fare_by_cell
-from repro.dispatch.polar import polar_weights
 from repro.dispatch.simulator import (
     KM_PER_SLOT,
     DispatchMetrics,
     allocate,
     day_orders,
+    ls_weights,
     matched,
+    mean_fare_by_cell,
+    polar_weights,
     simulate_day,
     spread_to_cells,
 )
 from repro.experiments.config import TESTS
+from repro.models import DeepSTLike
 from repro.oracle import assert_equivalent
 
 
@@ -68,6 +70,18 @@ class TestSpreadToCells:
 
         with pytest.raises(ValueError):
             spread_to_cells(np.ones(5), grid_spec(NYC, 2, 16), 8)
+        # the n = 4 MGrid values must be the last axis of a 2-D array too
+        with pytest.raises(ValueError):
+            spread_to_cells(np.ones((4, 3)), grid_spec(NYC, 2, 16), 8)
+
+    @pytest.mark.parametrize("side, P", [(4, 16), (3, 7), (5, 16)])
+    def test_rows_equal_per_row_calls(self, side, P):
+        from repro.synth_data import NYC
+
+        spec = grid_spec(NYC, side, 16)
+        pred = np.random.default_rng(side).gamma(2.0, 3.0, size=(6, spec.n))
+        want = np.stack([spread_to_cells(p, spec, P) for p in pred])
+        assert np.array_equal(spread_to_cells(pred, spec, P), want)
 
 
 def _spark_day_orders(events, cfg, *, day, P):
@@ -381,7 +395,33 @@ class TestSimulateDay:
         assert hi.served >= lo.served
 
 
+def _per_slot_polar_weights(pred_by_slot, spec, P):
+    """The per-slot stack ``polar_weights`` replaced, kept as its oracle."""
+    return np.stack([spread_to_cells(p, spec, P) for p in pred_by_slot])
+
+
+def _per_slot_ls_weights(pred_by_slot, spec, P, fare_by_cell):
+    """The per-slot stack ``ls_weights`` replaced, kept as its oracle."""
+    return np.stack([spread_to_cells(p, spec, P) * fare_by_cell for p in pred_by_slot])
+
+
 class TestPolicies:
+    @pytest.mark.parametrize("side", [2, 4, 7])
+    def test_equal_per_slot_oracles_on_test_day(self, nyc, side):
+        """Bit for bit on the test day's forecasts: Table III's replay."""
+        spec = grid_spec(nyc.cfg, side, 16)
+        tensor = nyc.counts.tensor(side)
+        preds = DeepSTLike().fit(tensor, TESTS.train_days).predict(
+            tensor, TESTS.test_day, np.arange(TESTS.slots)
+        )
+        fares = mean_fare_by_cell(nyc.counts.table, nyc.cfg, P=16, train_days=TESTS.train_days)
+        assert np.array_equal(
+            polar_weights(preds, spec, 16), _per_slot_polar_weights(preds, spec, 16)
+        )
+        assert np.array_equal(
+            ls_weights(preds, spec, 16, fares), _per_slot_ls_weights(preds, spec, 16, fares)
+        )
+
     def test_polar_weights_shape(self, nyc):
         spec = grid_spec(nyc.cfg, 4, 16)
         preds = np.ones((TESTS.slots, spec.n))

@@ -71,12 +71,38 @@ def test_table4_writes_results_only_at_committed_stride(monkeypatch, tmp_path, s
     monkeypatch.setattr(job, "ROOT", tmp_path)
     monkeypatch.setattr(job, "get_spark", lambda app: SimpleNamespace(stop=lambda: None))
     monkeypatch.setattr(job, "load_city", lambda spark, city, st: data)
-    monkeypatch.setattr(job, "run_table4", lambda spark, d, slots: slots_run.append(slots) or table)
+    monkeypatch.setattr(job, "run_table4", lambda d, slots: slots_run.append(slots) or table)
     monkeypatch.setattr(sys, "argv", ["run_table4.py", "--cities", "xian", "--slots-stride", str(stride)])
     (tmp_path / "results").mkdir()
     job.main()
     assert slots_run == [list(range(0, 48, stride))]
     assert sorted(p.name for p in (tmp_path / "results").iterdir()) == written
+
+
+def _no_spark(app):
+    raise AssertionError(f"get_spark({app!r}) was called")
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+def test_table4_rejects_stride_below_one_before_spark(monkeypatch, capsys, stride):
+    job = _job(monkeypatch, "run_table4")
+    monkeypatch.setattr(job, "get_spark", _no_spark)
+    monkeypatch.setattr(sys, "argv", ["run_table4.py", "--slots-stride", str(stride)])
+    with pytest.raises(SystemExit) as exit_:
+        job.main()
+    assert exit_.value.code == 2
+    assert "--slots-stride must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale, slot", [("bench", -1), ("bench", 48), ("tests", 48)])
+def test_search_rejects_slot_out_of_range_before_spark(monkeypatch, capsys, scale, slot):
+    job = _job(monkeypatch, "run_search")
+    monkeypatch.setattr(job, "get_spark", _no_spark)
+    monkeypatch.setattr(sys, "argv", ["run_search.py", "--scale", scale, "--slot", str(slot)])
+    with pytest.raises(SystemExit) as exit_:
+        job.main()
+    assert exit_.value.code == 2
+    assert f"--slot must be in [0, 48), got {slot}" in capsys.readouterr().err
 
 
 def _read_csv(name: str) -> list[dict]:

@@ -1,4 +1,6 @@
 """Tests for the Table III / Table IV experiment harnesses."""
+from types import SimpleNamespace
+
 import pytest
 
 from repro.experiments.config import TESTS
@@ -31,8 +33,8 @@ class TestCaseStudyRun:
 
 class TestTable3:
     @pytest.fixture(scope="class")
-    def table(self, spark, nyc):
-        return run_table3(spark, nyc, optimal_s=8)
+    def table(self, nyc):
+        return run_table3(nyc, optimal_s=8)
 
     def test_all_rows_present(self, table):
         assert len(table) == len(TABLE3_ROWS)
@@ -58,14 +60,21 @@ class TestTable3:
         assert (polar["improve_ratio"] > 0).all()
 
 
-def test_find_optimal_s_in_sweep(spark, nyc):
-    s = find_optimal_s(spark, nyc)
+def test_find_optimal_s_in_sweep(nyc):
+    s = find_optimal_s(nyc)
     assert TESTS.s_min <= s <= TESTS.s_max
+
+
+def test_table4_rejects_empty_slot_list_before_counts():
+    """No slot raises before any count is filled: the stand-in city has no
+    ``counts`` or ``cfg`` to read."""
+    with pytest.raises(ValueError, match="at least one slot"):
+        run_table4(SimpleNamespace(settings=TESTS), slots=[])
 
 
 class TestTable4:
     @pytest.fixture(scope="class")
-    def run(self, spark, xian):
+    def run(self, xian):
         """The table and the number of DeepST fits made while building it."""
         fits = []
         fit = DeepSTLike.fit
@@ -77,7 +86,7 @@ class TestTable4:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(DeepSTLike, "fit", counted)
             # two slots keep the unit-test runtime modest; jobs sweep all 48
-            table = run_table4(spark, xian, slots=[17, 37])
+            table = run_table4(xian, slots=[17, 37])
         return table, len(fits)
 
     @pytest.fixture(scope="class")

@@ -10,8 +10,8 @@ from repro.models import MODELS
 
 
 @pytest.fixture(scope="module")
-def evaluator(spark, nyc):
-    return UpperBoundEvaluator.for_city(spark, nyc, MODELS["deepst"])
+def evaluator(nyc):
+    return UpperBoundEvaluator.for_city(nyc, MODELS["deepst"])
 
 
 def test_bound_is_sum_of_components(evaluator):
@@ -32,7 +32,7 @@ def test_result_carries_its_model(nyc, evaluator):
 
 
 @pytest.mark.parametrize("slot", [-1, TESTS.slots])
-def test_rejects_slot_out_of_range(spark, nyc, slot):
+def test_rejects_slot_out_of_range(nyc, slot):
     """A slot outside [0, slots) raises before any model is fitted (numpy
     would read slot -1 as the last slot's alphas)."""
     fits = []
@@ -41,7 +41,7 @@ def test_rejects_slot_out_of_range(spark, nyc, slot):
         fits.append(slot)
         return MODELS["deepst"]()
 
-    ev = UpperBoundEvaluator.for_city(spark, nyc, factory)
+    ev = UpperBoundEvaluator.for_city(nyc, factory)
     with pytest.raises(ValueError, match=rf"slot {slot} is outside \[0, {TESTS.slots}\)"):
         ev.evaluate(4, slot)
     assert fits == [] and ev.calls == 0
@@ -126,7 +126,7 @@ def test_error_curves_read_the_evaluator(spark, nyc, monkeypatch, name):
     evaluator's, and the curve fits one model per side: the model that the
     real error is measured with comes from the evaluator's result."""
     sides = [4, 6]
-    want = UpperBoundEvaluator.for_city(spark, nyc, MODELS[name])
+    want = UpperBoundEvaluator.for_city(nyc, MODELS[name])
     want = [want.evaluate(s, TESTS.default_slot) for s in sides]
     fits = []
     fit = MODELS[name].fit
