@@ -9,17 +9,18 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from _session import get_spark  # noqa: E402
-from repro.core.search import brute_force, iterative_method, ternary_search  # noqa: E402
 from repro.core.upper_bound import UpperBoundEvaluator  # noqa: E402
-from repro.experiments.config import BENCH, ITERATIVE_B, TESTS, load_city  # noqa: E402
+from repro.experiments.config import BENCH, SEARCHES, TESTS, load_city  # noqa: E402
 from repro.models import MODELS  # noqa: E402
+
+ALGOS = {"ternary": "Ternary Search", "iterative": "Iterative Method", "brute": "Brute-force Search"}
 
 
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--city", default="nyc", choices=["nyc", "chengdu", "xian"])
     ap.add_argument("--model", default="deepst", choices=["mlp", "deepst", "dmvst"])
-    ap.add_argument("--algo", default="iterative", choices=["ternary", "iterative", "brute"])
+    ap.add_argument("--algo", default="iterative", choices=list(ALGOS))
     ap.add_argument("--scale", default="bench", choices=["bench", "tests"])
     ap.add_argument("--slot", type=int, default=None)
     args = ap.parse_args()
@@ -30,13 +31,7 @@ def main() -> None:
     spark = get_spark("ogss-search")
     data = load_city(spark, args.city, st)
     evaluator = UpperBoundEvaluator.for_city(data, MODELS[args.model])
-    fn = evaluator.bound_fn(slot)
-    if args.algo == "ternary":
-        res = ternary_search(fn, st.s_min, st.s_max)
-    elif args.algo == "iterative":
-        res = iterative_method(fn, st.s_min, st.s_max, p=st.s_default, b=ITERATIVE_B)
-    else:
-        res = brute_force(fn, st.s_min, st.s_max)
+    res = SEARCHES[ALGOS[args.algo]](evaluator.bound_fn(slot), st)
     print(f"city={args.city} slot={slot} algo={args.algo}")
     for s in sorted(res.evaluated):
         print(f"  e({s:2d}) = {res.evaluated[s]:.3f}")

@@ -33,14 +33,15 @@ from repro.synth_data import CityConfig, trip_columns
 
 @dataclass(frozen=True)
 class UpperBoundResult:
-    """One e(sqrt(n)) evaluation: the bound, its two components and the
-    model fitted for it."""
+    """One e(sqrt(n)) evaluation: the bound, its two components, the model
+    fitted for it and the evaluation's wall seconds (fit, error, kernel)."""
 
     n_side: int
     slot: int
     model_error: float
     expr_error: float
     model: Predictor = field(compare=False, repr=False)
+    eval_s: float = field(compare=False, repr=False)
 
     @property
     def bound(self) -> float:
@@ -98,10 +99,10 @@ class UpperBoundEvaluator:
 
     ``evaluate(n_side, slot)`` returns the bound for n = n_side^2 at one
     time slot. Results are memoised per (n_side, slot); ``calls`` counts
-    distinct bound computations and ``elapsed`` their total wall time —
-    the quantities Table IV reports as search cost. A slot outside
-    ``[0, slots)`` raises ``ValueError``. Count tables come from
-    ``_counts``: a city's shared cache (:meth:`for_city`) or a private one.
+    distinct bound computations and ``elapsed`` their total wall time, the
+    sum of their ``eval_s`` (Table IV sums a search's own points instead).
+    A slot outside ``[0, slots)`` raises ``ValueError``. Count tables come
+    from ``_counts``: the city's shared cache (:meth:`for_city`) or its own.
     """
 
     # unread: perfbench binds it (tests/test_perfbench_contract.py, ROADMAP item 2)
@@ -147,10 +148,10 @@ class UpperBoundEvaluator:
         me = total_model_error(tensor, model, eval_days=self.val_days, slot=slot)
         alphas, mg = self._counts.alphas(n_side)
         ee = total_expression_error_local(alphas[slot], mg, spec.m, self.K)
-        res = UpperBoundResult(n_side, slot, me, ee, model)
+        res = UpperBoundResult(n_side, slot, me, ee, model, time.perf_counter() - t0)
         self._bounds[key] = res
         self.calls += 1
-        self.elapsed += time.perf_counter() - t0
+        self.elapsed += res.eval_s
         return res
 
     def bound_fn(self, slot: int):

@@ -15,6 +15,7 @@ from typing import ClassVar
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.alpha import weekday_days
+from repro.core.search import brute_force, iterative_method, ternary_search
 from repro.core.upper_bound import GridCounts
 from repro.synth_data import CITIES, SLOTS_PER_DAY, CityConfig, taxi_trips
 
@@ -67,6 +68,15 @@ BENCH = Settings(sf=0.1, N_side=32)
 #: Iterative Method (Alg. 5) search boundary b. Every committed result was
 #: found with b = 3; the paper's is 4.
 ITERATIVE_B = 3
+
+#: Table IV's OGSS searches (§IV) over a scale's sweep: (bound_fn, settings) -> SearchResult.
+SEARCHES = {
+    "Ternary Search": lambda fn, st: ternary_search(fn, st.s_min, st.s_max),
+    "Iterative Method": lambda fn, st: iterative_method(
+        fn, st.s_min, st.s_max, p=st.s_default, b=ITERATIVE_B
+    ),
+    "Brute-force Search": lambda fn, st: brute_force(fn, st.s_min, st.s_max),
+}
 
 
 @dataclass

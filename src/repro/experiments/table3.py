@@ -15,7 +15,6 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.model_error import demand_tensor  # noqa: F401 — patched by perfbench/tracer.py
-from repro.core.search import iterative_method
 from repro.core.upper_bound import UpperBoundEvaluator
 from repro.dispatch.simulator import (
     DispatchMetrics,
@@ -25,7 +24,7 @@ from repro.dispatch.simulator import (
     polar_weights,
     simulate_day,
 )
-from repro.experiments.config import ITERATIVE_B, CityData
+from repro.experiments.config import SEARCHES, CityData
 from repro.models import DeepSTLike
 from repro.routing.daif import run_daif_day
 
@@ -99,10 +98,7 @@ def find_optimal_s(data: CityData) -> int:
     substitute's bound at the default slot."""
     st = data.settings
     evaluator = UpperBoundEvaluator.for_city(data, DeepSTLike)
-    res = iterative_method(
-        evaluator.bound_fn(st.default_slot), st.s_min, st.s_max, p=st.s_default, b=ITERATIVE_B
-    )
-    return res.s_opt
+    return SEARCHES["Iterative Method"](evaluator.bound_fn(st.default_slot), st).s_opt
 
 
 # (metric, algorithm, original side as a fraction of the paper's 128-lattice)

@@ -1,10 +1,11 @@
 """Table IV — performance of the optimisation searching algorithms.
 
 Per city, each of the 48 time slots is an independent OGSS instance (the
-optimal n differs per slot because expression error does, §V-E). For every
-algorithm — Ternary Search, Iterative Method, Brute-force — we run the
-search on every slot with a *fresh* bound evaluator over the city's count
-cache (filled for every swept side before the searches) and report:
+optimal n differs per slot because expression error does, §V-E). Every
+algorithm — Ternary Search, Iterative Method, Brute-force — searches every
+slot over one bound evaluator, so a (n, slot) point two searches probe is
+evaluated once, over the city's count cache (filled for every swept side
+before the searches). We report:
 
 * **cost** — total wall-clock seconds of the algorithm's bound evaluations
   (model fit, model error and expression-error kernel per (n, slot));
@@ -17,56 +18,42 @@ cache (filled for every swept side before the searches) and report:
 
 Every bound and forecast comes from the DeepST substitute. A forecast at
 (n, slot) is made by the model that produced the bound there: brute force
-evaluated every swept side of every slot, so the OR phase reads its
+evaluated every swept side of every slot, so the OR phase reads the
 evaluator's memo and trains no model of its own.
 """
-import time
 from functools import cache
+from math import fsum
 
 import numpy as np
 import pandas as pd
 
-from repro.core.search import brute_force, iterative_method, ternary_search
 from repro.core.upper_bound import UpperBoundEvaluator
 from repro.dispatch.simulator import allocate, day_orders, matched, polar_weights
-from repro.experiments.config import ITERATIVE_B, CityData
+from repro.experiments.config import SEARCHES, CityData
 from repro.models import DeepSTLike
 
 
 def run_table4(data: CityData, *, slots: list[int] | None = None) -> pd.DataFrame:
     """Table IV rows for one city (cost, probability, OR per algorithm);
-    ``ValueError`` for an empty slot list, before any count is filled."""
+    ``ValueError`` for an empty slot list, a slot outside ``[0, slots)`` or
+    a repeated slot, before any count is filled."""
     st = data.settings
     slots = list(range(st.slots)) if slots is None else slots
     if not slots:
         raise ValueError("Table IV needs at least one slot")
+    if len(set(slots)) < len(slots) or not set(slots) <= set(range(st.slots)):
+        raise ValueError(f"Table IV needs distinct slots in [0, {st.slots}), got {slots}")
 
-    algos = {
-        "Ternary Search": lambda fn: ternary_search(fn, st.s_min, st.s_max),
-        "Iterative Method": lambda fn: iterative_method(
-            fn, st.s_min, st.s_max, p=st.s_default, b=ITERATIVE_B
-        ),
-        "Brute-force Search": lambda fn: brute_force(fn, st.s_min, st.s_max),
-    }
     # brute force reads every side's counts anyway: build them once, untimed,
     # so each search's cost is its bound evaluations over a shared cache
     for s in range(st.s_min, st.s_max + 1):
         data.counts.tensor(s)
         data.counts.alphas(s)
-    found: dict[str, dict[int, int]] = {}
-    stats: dict[str, dict] = {}
-    evaluators = {}
-    for name, algo in algos.items():
-        evaluator = evaluators[name] = UpperBoundEvaluator.for_city(data, DeepSTLike)
-        t0 = time.perf_counter()
-        per_slot = {}
-        for slot in slots:
-            per_slot[slot] = algo(evaluator.bound_fn(slot)).s_opt
-        found[name] = per_slot
-        stats[name] = {
-            "cost_s": time.perf_counter() - t0,
-            "bound_calls": evaluator.calls,
-        }
+    evaluator = UpperBoundEvaluator.for_city(data, DeepSTLike)
+    results = {
+        name: {t: search(evaluator.bound_fn(t), st) for t in slots}
+        for name, search in SEARCHES.items()
+    }
 
     # the o_a / o_r measurement, not charged to any search's cost: POLAR
     # positions on the HGrid lattice with a slot's share of 70% of the day's
@@ -79,25 +66,26 @@ def run_table4(data: CityData, *, slots: list[int] | None = None) -> pd.DataFram
     @cache
     def served(s: int, slot: int) -> int:
         """Served orders of a single-slot POLAR matching at grid side s,
-        forecast by the brute-force evaluator's memoised model."""
-        model = evaluators["Brute-force Search"].evaluate(s, slot).model
+        forecast by the evaluator's memoised model."""
+        model = evaluator.evaluate(s, slot).model
         pred = model.predict(data.counts.tensor(s), st.test_day, slot)
         alloc = allocate(polar_weights(pred, data.counts.spec(s), P), n_drivers)
         return int(matched(alloc, cells_by_slot.get(slot, np.empty(0, dtype=int))).sum())
 
-    optimal = found["Brute-force Search"]
+    optimal = {t: r.s_opt for t, r in results["Brute-force Search"].items()}
     rows = []
-    for name in algos:
-        hits = sum(found[name][t] == optimal[t] for t in slots)
-        o_a = sum(served(found[name][t], t) for t in slots)
+    for name, found in results.items():
+        o_a = sum(served(found[t].s_opt, t) for t in slots)
         o_r = sum(served(optimal[t], t) for t in slots)
+        # fsum rounds the exact sum: a subset of brute force's points never costs more
+        cost = fsum(evaluator.evaluate(s, t).eval_s for t in slots for s in found[t].evaluated)
         rows.append(
             {
                 "city": data.cfg.name,
                 "algorithm": name,
-                "cost_s": stats[name]["cost_s"],
-                "bound_calls": stats[name]["bound_calls"],
-                "probability": hits / len(slots),
+                "cost_s": cost,
+                "bound_calls": sum(found[t].calls for t in slots),
+                "probability": sum(found[t].s_opt == optimal[t] for t in slots) / len(slots),
                 "OR": (o_a / o_r) if o_r else 1.0,
             }
         )

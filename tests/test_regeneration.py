@@ -11,6 +11,8 @@ from types import SimpleNamespace
 import pandas as pd
 import pytest
 
+from repro.experiments.config import SEARCHES
+
 ROOT = Path(__file__).resolve().parent.parent
 CITY_FILES = {"NYC": "nyc", "Chengdu": "chengdu", "Xi'an": "xian"}
 
@@ -105,6 +107,30 @@ def test_search_rejects_slot_out_of_range_before_spark(monkeypatch, capsys, scal
     assert f"--slot must be in [0, 48), got {slot}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algo, name", [
+    ("ternary", "Ternary Search"), ("iterative", "Iterative Method"), ("brute", "Brute-force Search"),
+], ids=["ternary", "iterative", "brute"])
+def test_search_algo_resolves_to_a_searches_entry(monkeypatch, capsys, algo, name):
+    """Each ``--algo`` choice runs the ``SEARCHES`` entry Table IV runs
+    under that name, over the scale's sweep."""
+    job = _job(monkeypatch, "run_search")
+    assert sorted(job.ALGOS.values()) == sorted(SEARCHES)
+    ran = []
+
+    def recording(name, search):
+        return lambda fn, st: ran.append(name) or search(fn, st)
+
+    evaluator = SimpleNamespace(bound_fn=lambda slot: lambda s: float((s - 3) ** 2), elapsed=0.0)
+    monkeypatch.setattr(job, "SEARCHES", {n: recording(n, f) for n, f in SEARCHES.items()})
+    monkeypatch.setattr(job, "get_spark", lambda app: SimpleNamespace(stop=lambda: None))
+    monkeypatch.setattr(job, "load_city", lambda spark, city, st: None)
+    monkeypatch.setattr(job, "UpperBoundEvaluator", SimpleNamespace(for_city=lambda d, m: evaluator))
+    monkeypatch.setattr(sys, "argv", ["run_search.py", "--scale", "tests", "--algo", algo])
+    job.main()
+    assert ran == [name]
+    assert "optimal n = 3x3" in capsys.readouterr().out
+
+
 def _read_csv(name: str) -> list[dict]:
     with open(ROOT / "results" / name, newline="") as f:
         return list(csv.DictReader(f))
@@ -126,6 +152,62 @@ def _percent(printed: str, value: float, sign: str = "") -> str:
     number = printed.strip("*+%")
     decimals = len(number.split(".")[1]) if "." in number else 0
     return f"{value * 100:{sign}.{decimals}f}%"
+
+
+def _curves() -> dict[str, pd.DataFrame]:
+    """Every committed error curve, keyed by ``<city>_<model>`` and indexed
+    by side."""
+    return {
+        p.stem.removeprefix("curves_"): pd.read_csv(p, index_col="n_side", float_precision="round_trip")
+        for p in (ROOT / "results").glob("curves_*.csv")
+    }
+
+
+def _argmin(df: pd.DataFrame) -> int:
+    return int(df["bound"].idxmin())
+
+
+# Each Figs. 3-5 number EXPERIMENTS.md quotes: the printed text with its
+# numbers as format fields, and the curve cells they are read from
+FIGS_3_5_QUOTES = {
+    "nyc-expr-error": ("NYC: {:.0f} → {:.0f} over s=1→19", lambda c: [
+        c["nyc_deepst"].at[1, "expr_error"], c["nyc_deepst"].at[19, "expr_error"],
+    ]),
+    "expr-error-by-city": ("at s=4: {:.0f} > {:.0f} > {:.0f}; at s=16: {:.0f} > {:.0f} > {:.0f}", lambda c: [
+        c[city].at[s, "expr_error"]
+        for s in (4, 16) for city in ("nyc_deepst", "chengdu_deepst", "xian_deepst")
+    ]),
+    "model-error-by-model": ("NYC MLP {:.0f}→{:.0f}, DeepST {:.0f}→{:.0f}, Dmvst {:.0f}→{:.0f} over s=1→19", lambda c: [
+        c[f"nyc_{m}"].at[s, "model_error"] for m in ("mlp", "deepst", "dmvst") for s in (1, 19)
+    ]),
+    "mlp-vs-deepst": ("s=8: {:.0f} vs {:.0f}", lambda c: [
+        c["nyc_mlp"].at[8, "model_error"], c["nyc_deepst"].at[8, "model_error"],
+    ]),
+    "real-over-bound": ("real/bound ≤ {:.2f}", lambda c: [
+        max((df["real_error"] / df["bound"]).max() for df in c.values()),
+    ]),
+    "nyc-bound-flat": ("The NYC bound is flat over s=16–18 ({:.0f} / {:.0f} / {:.0f})", lambda c: [
+        c["nyc_deepst"].at[s, "bound"] for s in (16, 17, 18)
+    ]),
+    "nyc-real-error": ("({:.0f} → {:.0f} over s=16→19), so its minimum is at s=19", lambda c: [
+        c["nyc_deepst"].at[s, "real_error"] for s in (16, 19)
+    ]),
+    "bound-minima-by-city": ("bound minima: NYC s={} (DeepST, Dmvst) and s={} (MLP), Chengdu s={}, Xi'an s={}", lambda c: [
+        _argmin(c[k]) for k in ("nyc_deepst", "nyc_mlp", "chengdu_deepst", "xian_deepst")
+    ]),
+    "bound-minima-by-model": ("bound minima MLP {} ≤ DeepST {} = Dmvst {}", lambda c: [
+        _argmin(c[f"nyc_{m}"]) for m in ("mlp", "deepst", "dmvst")
+    ]),
+}
+
+
+@pytest.mark.parametrize("quote", FIGS_3_5_QUOTES)
+def test_figs_3_5_numbers_match_curves(quote):
+    """A quoted number is its curve cell at the printed precision."""
+    text, cells = FIGS_3_5_QUOTES[quote]
+    doc = (ROOT / "EXPERIMENTS.md").read_text()
+    body = doc.split("\n## Error-curve preliminaries", 1)[1].split("\n## ", 1)[0]
+    assert text.format(*cells(_curves())) in body
 
 
 def test_table3_matches_results():

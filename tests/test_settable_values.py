@@ -1,9 +1,10 @@
-"""ROADMAP aim 2's settable-value count, recomputed from the source.
+"""ROADMAP aim 2's two tracked numbers, recomputed from the source.
 
 A settable value is a defaulted function parameter or a ``**kwargs`` under
 ``src/repro``, or a defaulted field of ``Settings``. ROADMAP.md records the
-count as "settable values: N"; a change that adds or removes one updates
-that number in the same change.
+count as "settable values: N", and the lines of ``src/repro/**/*.py`` as
+the first number after "net line count of `src/` ("; a change that moves
+either number updates it in the same change.
 """
 import ast
 import re
@@ -47,4 +48,13 @@ def test_count_matches_roadmap():
     )
     recorded = re.search(r"settable values: (\d+)", (ROOT / "ROADMAP.md").read_text())
     assert recorded, "ROADMAP.md records no 'settable values: N'"
+    assert count == int(recorded.group(1))
+
+
+def test_src_line_count_matches_roadmap():
+    count = sum(
+        len(f.read_text().splitlines()) for f in (ROOT / "src" / "repro").rglob("*.py")
+    )
+    recorded = re.search(r"net line count of `src/` \((\d+)", (ROOT / "ROADMAP.md").read_text())
+    assert recorded, "ROADMAP.md records no 'net line count of `src/` (N'"
     assert count == int(recorded.group(1))

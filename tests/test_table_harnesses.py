@@ -1,9 +1,14 @@
 """Tests for the Table III / Table IV experiment harnesses."""
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from repro.experiments.config import TESTS
+from repro.core.search import brute_force, iterative_method, ternary_search
+from repro.core.upper_bound import UpperBoundEvaluator
+from repro.dispatch.simulator import allocate, day_orders, matched, polar_weights
+from repro.experiments import table4 as table4_module
+from repro.experiments.config import ITERATIVE_B, SEARCHES, TESTS
 from repro.experiments.table3 import (
     TABLE3_ROWS,
     case_study_run,
@@ -66,38 +71,119 @@ def test_find_optimal_s_in_sweep(nyc):
 
 
 def test_table4_rejects_empty_slot_list_before_counts():
-    """No slot raises before any count is filled: the stand-in city has no
-    ``counts`` or ``cfg`` to read."""
+    """No slot, a slot outside [0, slots) or a repeated slot raises before
+    any count is filled: the stand-in city has no ``counts`` or ``cfg`` to
+    read. (A repeated slot would count twice in probability and OR but
+    once in the bound calls and cost.)"""
     with pytest.raises(ValueError, match="at least one slot"):
         run_table4(SimpleNamespace(settings=TESTS), slots=[])
+    for slots in ([TESTS.slots], [17, -1], [17, 17]):
+        with pytest.raises(ValueError, match=rf"distinct slots in \[0, {TESTS.slots}\), got"):
+            run_table4(SimpleNamespace(settings=TESTS), slots=slots)
+
+
+# two slots keep the unit-test runtime modest; jobs sweep 12 or all 48
+TABLE4_SLOTS = [17, 37]
+
+
+def _fresh_evaluator_table4(data, slots):
+    """Table IV with a fresh bound evaluator per algorithm (the loop
+    ``run_table4`` ran before its searches shared one): each algorithm's
+    found side per slot, and its bound calls, probability and OR."""
+    st = data.settings
+    algos = {
+        "Ternary Search": lambda fn: ternary_search(fn, st.s_min, st.s_max),
+        "Iterative Method": lambda fn: iterative_method(
+            fn, st.s_min, st.s_max, p=st.s_default, b=ITERATIVE_B
+        ),
+        "Brute-force Search": lambda fn: brute_force(fn, st.s_min, st.s_max),
+    }
+    found, calls, evaluators = {}, {}, {}
+    for name, algo in algos.items():
+        evaluator = evaluators[name] = UpperBoundEvaluator.for_city(data, DeepSTLike)
+        found[name] = [algo(evaluator.bound_fn(t)).s_opt for t in slots]
+        calls[name] = evaluator.calls
+
+    P = st.N_side
+    n_drivers = max(20, int(0.7 * int(data.cfg.daily_orders * st.sf) / st.slots))
+    orders = day_orders(data.counts.table, data.cfg, day=st.test_day, P=P)
+    cells_by_slot = {int(t): g["cell"].to_numpy(int) for t, g in orders.groupby("slot")}
+
+    def served(s, slot):
+        model = evaluators["Brute-force Search"].evaluate(s, slot).model
+        pred = model.predict(data.counts.tensor(s), st.test_day, slot)
+        alloc = allocate(polar_weights(pred, data.counts.spec(s), P), n_drivers)
+        return int(matched(alloc, cells_by_slot.get(slot, np.empty(0, dtype=int))).sum())
+
+    optimal = found["Brute-force Search"]
+    rows = {}
+    for name in algos:
+        o_a = sum(served(s, t) for s, t in zip(found[name], slots))
+        o_r = sum(served(s, t) for s, t in zip(optimal, slots))
+        rows[name] = {
+            "bound_calls": calls[name],
+            "probability": sum(a == b for a, b in zip(found[name], optimal)) / len(slots),
+            "OR": (o_a / o_r) if o_r else 1.0,
+        }
+    return found, rows
 
 
 class TestTable4:
     @pytest.fixture(scope="class")
     def run(self, xian):
-        """The table and the number of DeepST fits made while building it."""
-        fits = []
+        """The table, each search's found side per slot, and the number of
+        DeepST fits made while building the table."""
+        fits, found = [], {}
         fit = DeepSTLike.fit
 
         def counted(self, *args, **kwargs):
             fits.append(self)
             return fit(self, *args, **kwargs)
 
+        def recording(name, search):
+            def run(fn, st):
+                res = search(fn, st)
+                found.setdefault(name, []).append(res.s_opt)
+                return res
+
+            return run
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(DeepSTLike, "fit", counted)
-            # two slots keep the unit-test runtime modest; jobs sweep all 48
-            table = run_table4(xian, slots=[17, 37])
-        return table, len(fits)
+            mp.setattr(
+                table4_module, "SEARCHES", {n: recording(n, f) for n, f in SEARCHES.items()}
+            )
+            table = run_table4(xian, slots=TABLE4_SLOTS)
+        return table, found, len(fits)
 
     @pytest.fixture(scope="class")
     def table(self, run):
         return run[0]
 
     def test_optimal_ratio_trains_no_model(self, run):
-        """Every fit is a bound evaluation: the OR phase forecasts with the
-        brute-force evaluator's memoised models."""
-        table, fits = run
-        assert fits == table["bound_calls"].sum()
+        """Every fit is one of brute force's bound evaluations: the searches
+        share one evaluator, and the OR phase forecasts with its memoised
+        models."""
+        table, _, fits = run
+        brute = table.set_index("algorithm").loc["Brute-force Search", "bound_calls"]
+        sides = TESTS.s_max - TESTS.s_min + 1
+        assert fits == brute == sides * len(TABLE4_SLOTS) == 20
+
+    def test_equals_fresh_evaluator_oracle(self, xian, run):
+        """Sharing the evaluator changes no found side, bound call count,
+        probability or OR."""
+        table, found, _ = run
+        want_found, want_rows = _fresh_evaluator_table4(xian, TABLE4_SLOTS)
+        assert found == want_found
+        got = table.set_index("algorithm")[["bound_calls", "probability", "OR"]]
+        assert got.to_dict("index") == want_rows
+
+    def test_search_costs_at_most_bruteforce(self, table):
+        """A search's cost sums the evaluation times of a subset of brute
+        force's points, so it can never exceed brute force's."""
+        by = table.set_index("algorithm")["cost_s"]
+        assert by["Ternary Search"] <= by["Brute-force Search"]
+        assert by["Iterative Method"] <= by["Brute-force Search"]
 
     def test_rows_and_columns(self, table):
         assert len(table) == 3

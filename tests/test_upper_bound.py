@@ -22,13 +22,15 @@ def test_bound_is_sum_of_components(evaluator):
 
 def test_result_carries_its_model(nyc, evaluator):
     """The fitted model comes with the result and reproduces its model
-    error; it takes no part in comparing results."""
+    error; neither it nor the evaluation's wall time takes part in
+    comparing results."""
     r = evaluator.evaluate(4, TESTS.default_slot)
     tensor = nyc.counts.tensor(4)
     assert total_model_error(
         tensor, r.model, eval_days=TESTS.val_days, slot=TESTS.default_slot
     ) == r.model_error
-    assert r == type(r)(r.n_side, r.slot, r.model_error, r.expr_error, model=None)
+    assert r.eval_s > 0
+    assert r == type(r)(r.n_side, r.slot, r.model_error, r.expr_error, model=None, eval_s=-1.0)
 
 
 @pytest.mark.parametrize("slot", [-1, TESTS.slots])
